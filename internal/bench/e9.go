@@ -8,13 +8,16 @@ import (
 	"idlog/internal/inflate"
 	"idlog/internal/stable"
 	"idlog/internal/value"
+	"idlog/internal/wellfounded"
 )
 
 // E9 surveys the §3.2 landscape: the same "guess each person's sex"
 // query expressed in four non-deterministic formalisms — DATALOG∨
 // minimal models, stable models, DL inflationary outcomes, and IDLOG —
 // verifying that all four define the same answer family and comparing
-// the cost of enumerating it.
+// the cost of enumerating it. The well-founded semantics of the same
+// negation program is the deterministic contrast: it must leave every
+// sex atom undefined.
 func E9(persons []int) *Table {
 	t := &Table{
 		ID:      "E9",
@@ -26,17 +29,19 @@ func E9(persons []int) *Table {
 	if err != nil {
 		panic(err)
 	}
-	stab, err := stable.Parse(`
+	const negSrc = `
 		man(X) :- person(X), not woman(X).
 		woman(X) :- person(X), not man(X).
-	`)
+	`
+	stab, err := stable.Parse(negSrc)
 	if err != nil {
 		panic(err)
 	}
-	dl, err := inflate.Parse(inflate.DL, `
-		man(X) :- person(X), not woman(X).
-		woman(X) :- person(X), not man(X).
-	`)
+	wfs, err := wellfounded.Parse(negSrc)
+	if err != nil {
+		panic(err)
+	}
+	dl, err := inflate.Parse(inflate.DL, negSrc)
 	if err != nil {
 		panic(err)
 	}
@@ -134,9 +139,32 @@ func E9(persons []int) *Table {
 				}
 			}
 		}
+
+		// The deterministic contrast: WFS refuses to choose, so every
+		// contested atom — man(p) and woman(p) for each person — must be
+		// undefined and nothing true.
+		var undefined int
+		dur, err = timed(func() error {
+			m, err := wfs.WellFounded(db, wellfounded.Options{})
+			if err != nil {
+				return err
+			}
+			man, woman := m.Relation("man", wellfounded.Undefined), m.Relation("woman", wellfounded.Undefined)
+			if man.Len() != n || woman.Len() != n || len(m.Atoms(wellfounded.True)) != 0 {
+				return fmt.Errorf("E9: well-founded model decides a sex atom (%d/%d undefined of %d persons, %d true)",
+					man.Len(), woman.Len(), n, len(m.Atoms(wellfounded.True)))
+			}
+			undefined = man.Len() + woman.Len()
+			return nil
+		})
+		if err != nil {
+			panic(err)
+		}
+		t.Rows = append(t.Rows, []string{fmt.Sprint(n), "well-founded (contrast)", fmt.Sprintf("none (%d atoms undefined)", undefined), ms(dur)})
 	}
 	t.Notes = append(t.Notes,
 		"all four answer families verified identical at every size",
+		"the well-founded model of the negation program is verified to leave every man/woman atom undefined at every size (no answer: WFS cannot choose)",
 		"stable/disjunctive use exponential subset search (semantic reference implementations), so their times grow as 2^(2n)")
 	return t
 }

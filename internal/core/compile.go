@@ -58,16 +58,14 @@ type compiledLit struct {
 	// final size rather than the (possibly still tiny) current one.
 	// Zero when the planner is off. Static, so clone() shares it.
 	cardHint int
-	// binds and checks drive the streaming executor's per-tuple match
+	// binds and checks drive the join executor's per-tuple match
 	// (iterator.go). binds lists the argBind positions whose slot some
 	// later literal or the head actually reads — dead binds (variables
 	// occurring exactly once) are projected away. checks pairs each
 	// argCheck position with the in-literal position that first binds
 	// its variable, so repeated-variable selections evaluate against
 	// the candidate tuple alone, with no environment round-trip; that
-	// is what lets the scan iterator filter during block refill. The
-	// legacy recursive walk ignores both and uses args (provenance
-	// capture needs every slot bound).
+	// is what lets the scan iterator filter during block refill.
 	binds  []bindPos
 	checks []checkPair
 }
@@ -94,9 +92,9 @@ type compiledClause struct {
 	// headBuf is scratch space for candidate head tuples; the relation
 	// clones it on actual insertion (InsertShared).
 	headBuf value.Tuple
-	// iters is the streaming executor's per-literal cursor scratch,
-	// allocated lazily on the first streaming walk. Like the other
-	// scratch buffers it is single-threaded; clone() resets it.
+	// iters is the join executor's per-literal cursor scratch, allocated
+	// lazily on the first walk. Like the other scratch buffers it is
+	// single-threaded; clone() resets it.
 	iters []litIter
 }
 
@@ -227,15 +225,15 @@ func compile(oc *analysis.OrderedClause, stratumPred func(string) bool, headBoun
 	return cc, seed, nil
 }
 
-// compileStreamPlan computes the streaming executor's projection
+// compileStreamPlan computes the join executor's projection
 // pushdown: per literal, the live argBind positions and the
 // repeated-variable check pairs. A slot is live when some literal reads
 // it as argBound (reads always follow the unique argBind site) or the
 // head projects it; an argBind whose slot is never read is dead and the
-// streaming walk skips the store. Head-bound clauses additionally keep
-// every seed slot live (the rederivation probe seeds them before the
-// walk). Safe because the only whole-environment reader, provenance
-// capture, runs under Trace, which forces the legacy walk.
+// walk skips the store. Head-bound clauses additionally keep every seed
+// slot live (the rederivation probe seeds them before the walk).
+// Provenance capture, the only reader of whole body instantiations,
+// reads them from the cursors rather than the environment.
 func compileStreamPlan(cc *compiledClause, seed []compiledArg) {
 	live := make([]bool, cc.nslots)
 	for _, a := range cc.headArgs {

@@ -252,7 +252,7 @@ func (e *engine) parallelFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 		for j, cc := range clauses {
 			w.clauses[j] = cc.clone()
 		}
-		w.rn = runner{resolve: e.resolve, derive: w.derive, stream: e.opts.streaming()}
+		w.rn = runner{resolve: e.resolve, derive: w.derive}
 		workers[i] = w
 	}
 

@@ -12,7 +12,8 @@ import (
 // FuzzEval drives the whole pipeline — parse, analyze, evaluate under
 // two oracles — on arbitrary program text against a small fixed
 // database. Budgets keep runaway programs bounded; the property is
-// "no panic, and the two oracles agree on ID-free predicates".
+// "no panic, the two oracles agree on ID-free predicates, and neither
+// the planner nor tracing changes the model".
 func FuzzEval(f *testing.F) {
 	seeds := []string{
 		"p(a).",
@@ -82,5 +83,18 @@ func FuzzEval(f *testing.F) {
 				t.Fatalf("planner changed predicate %s\nprogram: %s", p, src)
 			}
 		}
+		// Trace differential: a traced run (sequential, planner off) must
+		// compute the same model, and every derivation it records must
+		// instantiate the program soundly.
+		traced, errT := Eval(info, db, Options{MaxDerivations: 20000, Trace: true})
+		if errT != nil {
+			return
+		}
+		for p := range info.IDB {
+			if !a.Relation(p).Equal(traced.Relation(p)) {
+				t.Fatalf("tracing changed predicate %s\nprogram: %s", p, src)
+			}
+		}
+		checkProvenance(t, src, info, traced)
 	})
 }

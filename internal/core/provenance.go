@@ -44,7 +44,10 @@ func provKey(pred string, t value.Tuple) string {
 	return pred + "|" + t.Key()
 }
 
-// recordProvenance captures the ground body of the current instantiation.
+// recordProvenance captures the ground body of the current
+// instantiation. The environment is sparse — projection pushdown never
+// writes dead binds — so each positive body fact is read back from its
+// literal's cursor, which still holds the tuple it last yielded.
 func (e *engine) recordProvenance(cc *compiledClause, env []value.Value, stored value.Tuple) {
 	if e.prov == nil {
 		return
@@ -56,23 +59,40 @@ func (e *engine) recordProvenance(cc *compiledClause, env []value.Value, stored 
 	entry := provEntry{clause: cc.src.Source.String()}
 	for i := range cc.lits {
 		cl := &cc.lits[i]
-		t := make(value.Tuple, len(cl.args))
-		for pos, a := range cl.args {
-			if a.kind == argConst {
-				t[pos] = a.val
-			} else {
-				t[pos] = env[a.slot]
-			}
-		}
 		entry.body = append(entry.body, provFact{
 			pred:    cl.pred,
 			neg:     cl.neg,
 			isID:    cl.isID,
 			builtin: cl.builtin != nil,
-			tuple:   t,
+			tuple:   groundFact(&cc.iters[i], env),
 		})
 	}
 	e.prov[key] = entry
+}
+
+// groundFact returns a copy of the ground fact the cursor last yielded:
+// the matched tuple or builtin solution, or — for a negated literal,
+// which safety makes fully bound — the literal instantiated from env.
+// Scan buffers, disk-backed tuples and builtin solutions are scratch,
+// hence the copy.
+func groundFact(it *litIter, env []value.Value) value.Tuple {
+	switch it.kind {
+	case iterScan:
+		return it.buf[it.bufIdx-1].Clone()
+	case iterProbe:
+		return it.rel.At(it.positions[it.idx-1]).Clone()
+	case iterBuiltin:
+		return value.Tuple(it.sols[it.solIdx-1]).Clone()
+	}
+	t := make(value.Tuple, len(it.cl.args))
+	for i, a := range it.cl.args {
+		if a.kind == argConst {
+			t[i] = a.val
+		} else {
+			t[i] = env[a.slot]
+		}
+	}
+	return t
 }
 
 // Explain renders the derivation tree of a tuple of a derived predicate,

@@ -128,17 +128,6 @@ func WithPlanner(on bool) Option {
 	return func(c *config) { c.eval.NoPlanner = !on }
 }
 
-// WithStreaming enables (the default) or disables the streaming
-// get-next executor: with it on, clause bodies are evaluated by a
-// pipeline of composable cursors with selection and projection pushed
-// down into the scans; with it off, the legacy recursive walk runs.
-// The computed model, insertion order, and statistics are identical
-// either way, so WithStreaming(false) is the performance-ablation and
-// escape hatch. Tracing (WithTrace) forces the legacy walk.
-func WithStreaming(on bool) Option {
-	return func(c *config) { c.eval.NoStreaming = !on }
-}
-
 // WithMagic enables (the default) or disables the magic-sets demand
 // rewrite for goal queries: with it on, Prepare/Query goals with bound
 // arguments evaluate a goal-directed rewriting of the program that
@@ -166,7 +155,11 @@ func WithMaxRuns(n int) Option {
 
 // WithTrace records the first derivation of every tuple so that
 // Result.Explain can print derivation trees. Costs memory proportional
-// to the computed model.
+// to the computed model. A traced run evaluates sequentially, in the
+// analysis body order (planner off), over the source rules (magic off)
+// and without the plan cache, so derivation trees do not depend on
+// worker scheduling, relation cardinalities or cached plans; the model
+// is the same as an untraced run's.
 func WithTrace() Option {
 	return func(c *config) { c.eval.Trace = true }
 }

@@ -1,22 +1,158 @@
 package idlog
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"os/exec"
 	"strings"
 	"testing"
 )
 
-// TestStreamingPreservesPaperExamples is the streaming executor's
-// end-to-end acceptance check: the paper's Examples 1–8 must produce
-// byte-identical model fingerprints AND identical engine statistics
-// with the executor on and off, sequentially and with 4 workers, with
-// the planner on and off. (The executor only changes how each body
-// instantiation is enumerated, never which instantiations occur or in
-// what order, so even TuplesScanned must agree exactly.)
+// paperGolden pins one paper-example workload to the behaviour recorded
+// when the join executor still had a recursive-walk twin: the output
+// relations' fingerprints (identical under every configuration), the
+// full Stats of a sequential run, a traced run, a 4-worker run and a
+// planner-off run, and a digest — tuple count, byte length and SHA-256
+// — of the Explain text of every output tuple under WithTrace.
+type paperGolden struct {
+	model                             string
+	seq, traced, parallel, plannerOff Stats
+	explain                           string
+}
+
+var paperGoldens = map[string]paperGolden{
+	"ex1-man": {
+		model:      "man=b517254aa1c226f3 sex_guess=91071e3bd729ae26",
+		seq:        Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		traced:     Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		parallel:   Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		plannerOff: Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		explain:    "18/1596/b6460e41627a12bcfb0879c98988416ec305205ad75d5b9ba46b5aaaff37b247",
+	},
+	"ex1-man-seeded": {
+		model:      "man=7d50f4bbbfbb19ac sex_guess=91071e3bd729ae26",
+		seq:        Stats{Derivations: 16, Inserted: 16, TuplesScanned: 16, Iterations: 2, IDRelations: 1},
+		traced:     Stats{Derivations: 16, Inserted: 16, TuplesScanned: 16, Iterations: 2, IDRelations: 1},
+		parallel:   Stats{Derivations: 16, Inserted: 16, TuplesScanned: 16, Iterations: 2, IDRelations: 1},
+		plannerOff: Stats{Derivations: 16, Inserted: 16, TuplesScanned: 16, Iterations: 2, IDRelations: 1},
+		explain:    "16/1400/80924064a2f3c591b536c955c7456fa23d3ebbeec6afdf14875235b8ef4cef3d",
+	},
+	"ex2-man-woman": {
+		model:      "man=b517254aa1c226f3 sex_guess=91071e3bd729ae26 woman=da145b46a23951d0",
+		seq:        Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		traced:     Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		parallel:   Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		plannerOff: Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		explain:    "18/1596/b6460e41627a12bcfb0879c98988416ec305205ad75d5b9ba46b5aaaff37b247",
+	},
+	"ex2-man-woman-seeded": {
+		model:      "man=7d50f4bbbfbb19ac sex_guess=91071e3bd729ae26 woman=a5f110078d847a76",
+		seq:        Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		traced:     Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		parallel:   Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		plannerOff: Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
+		explain:    "18/1612/0e872190991fd5153b1651d73b63cfcf1e1eba244f7cf97eeda9e2ee3ac109e1",
+	},
+	"ex3-dl-contrast": {
+		model:      "chosen=da145b46a23951d0 guess=a65f81a9135b4622",
+		seq:        Stats{Derivations: 12, Inserted: 12, TuplesScanned: 12, Iterations: 2, IDRelations: 1},
+		traced:     Stats{Derivations: 12, Inserted: 12, TuplesScanned: 12, Iterations: 2, IDRelations: 1},
+		parallel:   Stats{Derivations: 12, Inserted: 12, TuplesScanned: 12, Iterations: 2, IDRelations: 1},
+		plannerOff: Stats{Derivations: 12, Inserted: 12, TuplesScanned: 12, Iterations: 2, IDRelations: 1},
+		explain:    "12/852/230f64121c6898091ea7480783207f7e6987ecd684589aa4702eb23a1c1c7c53",
+	},
+	"ex3-dl-contrast-seeded": {
+		model:      "chosen=2df40f567e723a37 guess=a65f81a9135b4622",
+		seq:        Stats{Derivations: 15, Inserted: 15, TuplesScanned: 15, Iterations: 2, IDRelations: 1},
+		traced:     Stats{Derivations: 15, Inserted: 15, TuplesScanned: 15, Iterations: 2, IDRelations: 1},
+		parallel:   Stats{Derivations: 15, Inserted: 15, TuplesScanned: 15, Iterations: 2, IDRelations: 1},
+		plannerOff: Stats{Derivations: 15, Inserted: 15, TuplesScanned: 15, Iterations: 2, IDRelations: 1},
+		explain:    "15/1128/b8d3b3f868fbeefe7131a4d7628c235f2d8468bc9c9f6f536aa728579560b761",
+	},
+	"ex4-choice": {
+		model:      "ext_choice_0=15296b9c12b2ebeb ext_choice_0_sel=1d1a8d7edc45db66 pick=d1400585b5a2adef",
+		seq:        Stats{Derivations: 28, Inserted: 28, TuplesScanned: 52, Iterations: 4, IDRelations: 1},
+		traced:     Stats{Derivations: 28, Inserted: 28, TuplesScanned: 68, Iterations: 4, IDRelations: 1},
+		parallel:   Stats{Derivations: 28, Inserted: 28, TuplesScanned: 52, Iterations: 4, IDRelations: 1, Partitions: 4, PartitionedRounds: 1, PartitionSkew: 2},
+		plannerOff: Stats{Derivations: 28, Inserted: 28, TuplesScanned: 68, Iterations: 4, IDRelations: 1},
+		explain:    "28/3376/58d1ba7edc76bc8b189970e91d9c0425042b1e6f8a769eb2375b214e8fe27699",
+	},
+	"ex4-choice-seeded": {
+		model:      "ext_choice_0=15296b9c12b2ebeb ext_choice_0_sel=fce6ad4c512612d0 pick=bb88ba97f3534c3a",
+		seq:        Stats{Derivations: 28, Inserted: 28, TuplesScanned: 52, Iterations: 4, IDRelations: 1},
+		traced:     Stats{Derivations: 28, Inserted: 28, TuplesScanned: 68, Iterations: 4, IDRelations: 1},
+		parallel:   Stats{Derivations: 28, Inserted: 28, TuplesScanned: 52, Iterations: 4, IDRelations: 1, Partitions: 4, PartitionedRounds: 1, PartitionSkew: 2},
+		plannerOff: Stats{Derivations: 28, Inserted: 28, TuplesScanned: 68, Iterations: 4, IDRelations: 1},
+		explain:    "28/3376/23908edfdf42c5e986950a07d5fc9e38b4a6d4217ca06bd839d1819f8f80cb3b",
+	},
+	"ex5-sampling": {
+		model:      "select_two_emp=d2c4dcc4a150c4cd",
+		seq:        Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
+		traced:     Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
+		parallel:   Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
+		plannerOff: Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
+		explain:    "8/1192/9b4317158c8a14fd288d84c0781ecd1240307066a4d04b9fdbbf0378a1bb4527",
+	},
+	"ex5-sampling-seeded": {
+		model:      "select_two_emp=edbc4134b755a073",
+		seq:        Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
+		traced:     Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
+		parallel:   Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
+		plannerOff: Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
+		explain:    "8/1192/b5ba0114adcf3b0fc85c23deab77a6196822782c59a1261b6e1dfebb39888970",
+	},
+	"ex6-reach-source": {
+		model:      "a=ee440d816122f8e8 q=89bc74f0f176a6da",
+		seq:        Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 1674, Iterations: 31},
+		traced:     Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 2208, Iterations: 31},
+		parallel:   Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 1674, Iterations: 31, Partitions: 4, PartitionedRounds: 30, PartitionSkew: 4},
+		plannerOff: Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 2208, Iterations: 31},
+		explain:    "576/490444/e39eaad65dbde99e4526fed781d2d52b2c9468d8cbaa6a2199fcd8c3c6d8e3b6",
+	},
+	"ex6-reach-source-seeded": {
+		model:      "a=ee440d816122f8e8 q=89bc74f0f176a6da",
+		seq:        Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 1674, Iterations: 31},
+		traced:     Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 2208, Iterations: 31},
+		parallel:   Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 1674, Iterations: 31, Partitions: 4, PartitionedRounds: 30, PartitionSkew: 4},
+		plannerOff: Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 2208, Iterations: 31},
+		explain:    "576/490444/e39eaad65dbde99e4526fed781d2d52b2c9468d8cbaa6a2199fcd8c3c6d8e3b6",
+	},
+	"ex7-8-optimized": {
+		model:      "a=89bc74f0f176a6da q=89bc74f0f176a6da",
+		seq:        Stats{Derivations: 89, Inserted: 60, TuplesScanned: 155, Iterations: 3, IDRelations: 1},
+		traced:     Stats{Derivations: 89, Inserted: 60, TuplesScanned: 161, Iterations: 3, IDRelations: 1},
+		parallel:   Stats{Derivations: 89, Inserted: 60, TuplesScanned: 155, Iterations: 3, IDRelations: 1, Partitions: 4, PartitionedRounds: 1, PartitionSkew: 1.2},
+		plannerOff: Stats{Derivations: 89, Inserted: 60, TuplesScanned: 161, Iterations: 3, IDRelations: 1},
+		explain:    "60/5550/4ecf786f96a64c331b5d9c028059355c419f6a458d9e01902cc2033a2108315c",
+	},
+}
+
+// goldenChildEnv marks the fresh process TestStreamingPreservesPaperExamples
+// re-runs itself in.
+const goldenChildEnv = "IDLOG_PAPER_GOLDEN_CHILD"
+
+// TestStreamingPreservesPaperExamples is the join executor's end-to-end
+// acceptance check: the paper's Examples 1–8, seeded and unseeded, must
+// reproduce the golden fingerprints, statistics (down to
+// TuplesScanned) and derivation trees exactly — sequentially, traced,
+// with 4 workers and with the planner off.
+//
+// Symbol IDs are process-global and issued in interning order;
+// fingerprints hash them and the seeded oracle keys its permutations on
+// them. The goldens were recorded in a process that interned this
+// test's symbols first, so the check re-runs itself in a fresh process.
 func TestStreamingPreservesPaperExamples(t *testing.T) {
+	if os.Getenv(goldenChildEnv) == "" {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestStreamingPreservesPaperExamples$", "-test.count=1")
+		cmd.Env = append(os.Environ(), goldenChildEnv+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("golden check in a fresh process: %v\n%s", err, out)
+		}
+		return
+	}
 	db := NewDatabase()
 	for i := 0; i < 6; i++ {
 		_ = db.Add("person", Strs(fmt.Sprintf("p%02d", i)))
@@ -51,60 +187,57 @@ func TestStreamingPreservesPaperExamples(t *testing.T) {
 		t.Fatal(err)
 	}
 	workloads = append(workloads, workload{"ex7-8-optimized", ex8, nil})
-
-	// modelOf renders fingerprints plus the full Stats so a divergence
-	// in either is caught.
-	modelOf := func(w workload, extra ...Option) string {
-		t.Helper()
-		res, err := w.prog.Eval(db, append(append([]Option{}, w.opts...), extra...)...)
-		if err != nil {
-			t.Fatalf("%s: %v", w.name, err)
-		}
-		var b strings.Builder
-		for _, p := range w.prog.OutputPredicates() {
-			fmt.Fprintf(&b, "%s=%s\n", p, res.Relation(p).Fingerprint())
-		}
-		fmt.Fprintf(&b, "stats=%+v\n", res.Stats)
-		return b.String()
+	if len(workloads) != len(paperGoldens) {
+		t.Fatalf("%d workloads, %d goldens", len(workloads), len(paperGoldens))
 	}
 
 	for _, w := range workloads {
-		want := modelOf(w) // streaming on, sequential: the reference
+		want, ok := paperGoldens[w.name]
+		if !ok {
+			t.Fatalf("%s: no golden", w.name)
+		}
 		variants := []struct {
 			name  string
+			stats Stats
 			extra []Option
 		}{
-			{"stream-off", []Option{WithStreaming(false)}},
-			{"stream-on-parallel", []Option{WithParallelism(4)}},
-			{"stream-off-parallel", []Option{WithStreaming(false), WithParallelism(4)}},
-			{"stream-on-planner-off", []Option{WithPlanner(false)}},
-			{"stream-off-planner-off", []Option{WithStreaming(false), WithPlanner(false)}},
+			{"sequential", want.seq, []Option{WithParallelism(1)}},
+			{"traced", want.traced, []Option{WithParallelism(1), WithTrace()}},
+			{"parallel", want.parallel, []Option{WithParallelism(4)}},
+			{"planner-off", want.plannerOff, []Option{WithParallelism(1), WithPlanner(false)}},
 		}
-		// Parallel runs may schedule identically but their per-variant
-		// reference is the matching legacy-walk run, so compare pairs
-		// that differ ONLY in the streaming flag.
-		pairs := [][2]int{{0, -1}, {2, 1}, {4, 3}}
-		got := make([]string, len(variants))
-		for i, v := range variants {
-			got[i] = modelOf(w, v.extra...)
-		}
-		for _, pr := range pairs {
-			ref := want
-			if pr[1] >= 0 {
-				ref = got[pr[1]]
+		for _, v := range variants {
+			res, err := w.prog.Eval(db, append(append([]Option{}, w.opts...), v.extra...)...)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", w.name, v.name, err)
 			}
-			if got[pr[0]] != ref {
-				t.Errorf("%s: %s diverged from its legacy-walk twin\nwant:\n%s\ngot:\n%s",
-					w.name, variants[pr[0]].name, ref, got[pr[0]])
+			var fps []string
+			for _, p := range w.prog.OutputPredicates() {
+				fps = append(fps, p+"="+res.Relation(p).Fingerprint())
 			}
-		}
-		// And every variant's fingerprints must match the reference
-		// (stats aside, the model itself never depends on any toggle).
-		for i, v := range variants {
-			gf := got[i][:strings.Index(got[i], "stats=")]
-			wf := want[:strings.Index(want, "stats=")]
-			if gf != wf {
-				t.Errorf("%s: %s model diverged\nwant:\n%s\ngot:\n%s", w.name, v.name, wf, gf)
+			if got := strings.Join(fps, " "); got != want.model {
+				t.Errorf("%s/%s: model\n got %s\nwant %s", w.name, v.name, got, want.model)
+			}
+			if res.Stats != v.stats {
+				t.Errorf("%s/%s: stats\n got %#v\nwant %#v", w.name, v.name, res.Stats, v.stats)
+			}
+			if v.name != "traced" {
+				continue
+			}
+			var text strings.Builder
+			n := 0
+			for _, p := range w.prog.OutputPredicates() {
+				for _, tup := range res.Relation(p).Sorted() {
+					tree, err := res.Explain(p, tup, 0)
+					if err != nil {
+						t.Fatalf("%s: explain %s%v: %v", w.name, p, tup, err)
+					}
+					text.WriteString(tree)
+					n++
+				}
+			}
+			if got := fmt.Sprintf("%d/%d/%x", n, text.Len(), sha256.Sum256([]byte(text.String()))); got != want.explain {
+				t.Errorf("%s: explain digest\n got %s\nwant %s", w.name, got, want.explain)
 			}
 		}
 	}
