@@ -19,8 +19,9 @@
 //	-max-tuples n    materialized-tuple budget, a memory ceiling (0 = none)
 //	-max-derivations n  derivation budget, a work ceiling (0 = none)
 //	-parallel n      evaluate fixpoints on n worker goroutines (answers
-//	                 stay byte-identical to sequential; default 0 = auto,
-//	                 GOMAXPROCS clamped to 8; 1 = sequential)
+//	                 stay byte-identical to sequential; default 0 = auto:
+//	                 every round inline unless -partitions > 1;
+//	                 1 = sequential; n > 1 fans every round out)
 //	-partitions n    hash-partition recursive delta passes n ways with
 //	                 partition-local probe indexes (default 0 = follow
 //	                 -parallel; 1 = off; answers stay byte-identical)

@@ -256,22 +256,7 @@ var paperExamples = []struct {
 // sequential baseline. Run with -race: it exercises the worker pool,
 // the shared COW index publication, and the ordered merge all at once.
 func TestConcurrentParallelEvalMatchesSequential(t *testing.T) {
-	db := NewDatabase()
-	for i := 0; i < 6; i++ {
-		_ = db.Add("person", Strs(fmt.Sprintf("p%02d", i)))
-	}
-	for d := 0; d < 4; d++ {
-		for e := 0; e < 5; e++ {
-			_ = db.Add("emp", Strs(fmt.Sprintf("e%d_%d", d, e), fmt.Sprintf("dept%d", d)))
-		}
-	}
-	for i := 0; i < 30; i++ {
-		_ = db.Add("p", Strs(fmt.Sprintf("v%03d", i), fmt.Sprintf("v%03d", i+1)))
-		if i%5 == 0 {
-			_ = db.Add("p", Strs(fmt.Sprintf("v%03d", i), fmt.Sprintf("w%03d", i)))
-		}
-	}
-	db.Freeze()
+	db := paperDB()
 
 	type workload struct {
 		name string

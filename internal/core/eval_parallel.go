@@ -8,17 +8,17 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"idlog/internal/analysis"
 	"idlog/internal/guard"
 	"idlog/internal/relation"
 	"idlog/internal/value"
 )
 
-// This file implements the parallel semi-naive fixpoint. Each round of
-// a stratum is split into tasks — one (clause, delta-position) pair per
-// task, further sharded over the depth-0 literal's enumeration range —
-// and the tasks are evaluated by a bounded worker pool against the
-// round-start state of the relations. Workers only READ shared state
+// This file implements the fan-out rounds of the semi-naive fixpoint
+// (eval.go fixpoint; explicit Parallelism or Partitions above 1 fan
+// every round out). A fanned-out round is split into tasks — one (clause, delta-position) pair per task, further
+// sharded over the depth-0 literal's enumeration range — and the tasks
+// are evaluated by a bounded worker pool against the round-start state
+// of the relations. Workers only READ shared state
 // (the work relations, materialized ID-relations, and earlier strata);
 // all insertion happens afterwards in a single-threaded merge that
 // visits tasks in their deterministic planning order. The model is a
@@ -28,11 +28,11 @@ import (
 // many workers at once.
 //
 // Why answers are byte-identical to sequential evaluation:
-//   - The fixpoint SET is the same: both evaluators apply the same
-//     monotone immediate-consequence operator under a fair schedule,
-//     and every same-stratum literal is a delta position, so a tuple
-//     first visible mid-round to the sequential engine is re-derived
-//     from the next round's delta here. Strata are evaluated in the
+//   - The fixpoint SET is the same: inline and fanned-out rounds apply
+//     the same monotone immediate-consequence operator under a fair
+//     schedule, and every same-stratum literal is a delta position, so
+//     a tuple first visible mid-round to the sequential engine is
+//     re-derived from the next round's delta here. Strata are evaluated in the
 //     same order, and negation/ID-literals read only earlier strata,
 //     which are complete and identical in both modes.
 //   - ID assignment is insertion-order independent: relation.Groups
@@ -203,6 +203,7 @@ func (w *pWorker) runTask(t pTask, out *pOut) error {
 // is refunded so Join settles an exact count.
 func (w *pWorker) loop(pb *guard.Parallel, tasks []pTask, outs []*pOut, next *atomic.Int64, wg *sync.WaitGroup) {
 	defer wg.Done()
+	w.pb = pb // this round's ledger, drawn on by derive and grant
 	defer func() {
 		if r := recover(); r != nil {
 			pb.Fail(guard.Errorf(guard.Internal, w.e.g.Op(),
@@ -232,261 +233,240 @@ func (w *pWorker) loop(pb *guard.Parallel, tasks []pTask, outs []*pOut, next *at
 	}
 }
 
-// parallelFixpoint is seminaiveFixpoint with each round's evaluation
-// fanned out over the worker pool and its insertions replayed through
-// the deterministic ordered merge.
-func (e *engine) parallelFixpoint(s *analysis.Stratum, sp *stratumPlan) error {
-	clauses := sp.all // seed clauses first, delta-first variants after
+// pool is the fan-out half of one stratum's fixpoint (eval.go
+// fixpoint): the worker goroutines' state, the partition fan-out, and
+// the probe-relation partitionings cached across rounds. It is built
+// once per stratum, before the seed round.
+type pool struct {
+	e       *engine
+	clauses []*compiledClause // the stratum plan's clauses (seed clauses first)
+	workers []*pWorker
+	nparts  int
+	// probeParts caches each probed relation's partitioning across
+	// rounds, keyed by (predicate, key column): the relation identity is
+	// stable for the whole stratum, so a cached partitioning only needs
+	// Refresh (routing the tuples the merges appended since) instead of
+	// a rebuild. Both NewPartitioned and Refresh
+	// run in the single-threaded planning phase, with the round's
+	// WaitGroup barrier ordering them against worker reads.
+	probeParts map[probeKey]*relation.Partitioned
+}
+
+type probeKey struct {
+	pred string
+	col  int
+}
+
+func (e *engine) newPool(sp *stratumPlan) *pool {
+	p := &pool{e: e, clauses: sp.all, nparts: e.partitions()}
+	p.workers = make([]*pWorker, e.workers())
+	for i := range p.workers {
+		w := &pWorker{e: e, seen: map[string]struct{}{}}
+		w.clauses = make([]*compiledClause, len(sp.all))
+		for j, cc := range sp.all {
+			w.clauses[j] = cc.clone()
+		}
+		w.rn = runner{resolve: e.resolve, derive: w.derive}
+		p.workers[i] = w
+	}
+	return p
+}
+
+// round evaluates tasks on the worker pool against the round-start
+// relations, then replays their derivations through the ordered merge
+// into the full relations (and sink, when non-nil). The guard is forked
+// for exactly the read phase.
+func (p *pool) round(tasks []pTask, sink map[string]*relation.Relation) error {
+	e := p.e
 	// Forfeit any outstanding sequential grant: Fork snapshots the
 	// settled count and Join overwrites it, so spending pre-fork slack
 	// afterwards could overshoot the budget.
 	e.gslack = 0
 	pb := e.g.Fork()
-	defer pb.Join()
-
-	nw := e.workers()
-	workers := make([]*pWorker, nw)
-	for i := range workers {
-		w := &pWorker{e: e, pb: pb, seen: map[string]struct{}{}}
-		w.clauses = make([]*compiledClause, len(clauses))
-		for j, cc := range clauses {
-			w.clauses[j] = cc.clone()
-		}
-		w.rn = runner{resolve: e.resolve, derive: w.derive}
-		workers[i] = w
+	outs := make([]*pOut, len(tasks))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	n := min(len(p.workers), len(tasks))
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go p.workers[i].loop(pb, tasks, outs, &next, &wg)
 	}
-
-	runRound := func(tasks []pTask) []*pOut {
-		outs := make([]*pOut, len(tasks))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		n := nw
-		if len(tasks) < n {
-			n = len(tasks)
-		}
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go workers[i].loop(pb, tasks, outs, &next, &wg)
-		}
-		wg.Wait()
-		return outs
-	}
-
-	// merge replays every task's derivations in planning order —
-	// single-threaded, so insertion order, index maintenance, and the
-	// exact tuple budget behave exactly as in a sequential run. Sound
-	// tuples from a failed round are still merged (partial models are
-	// prefixes of the perfect model), with the round's error taking
-	// precedence over a budget trip during the merge itself.
-	merge := func(tasks []pTask, outs []*pOut, sink map[string]*relation.Relation) error {
-		for i, t := range tasks {
-			out := outs[i]
-			if out == nil {
-				continue
-			}
-			e.stats.Derivations += out.stats.Derivations
-			e.stats.TuplesScanned += out.stats.TuplesScanned
-			cc := clauses[t.ci]
-			full := e.work[cc.headPred]
-			for _, tup := range out.derived {
-				if e.governed && e.g.AtTupleLimit() && !full.Contains(tup) {
-					return e.g.TryTuples(1)
-				}
-				added, err := full.Insert(tup) // tup is the worker's private clone
-				if err != nil {
-					return err
-				}
-				if !added {
-					continue
-				}
-				if e.governed {
-					if err := e.g.TryTuples(1); err != nil {
-						return err
-					}
-				}
-				e.stats.Inserted++
-				if sink != nil {
-					sink[cc.headPred].Append(tup)
-				}
-			}
-		}
-		return nil
-	}
-
-	// plan appends the task shards for (ci, pos). Sharding applies only
-	// when the depth-0 literal is a positive relational scan or
-	// constant-key probe (at depth 0 nothing is bound yet, so probe
-	// keys are all-constant); other head shapes run as one task.
-	plan := func(ci, pos int, deltaRel *relation.Relation, tasks []pTask) []pTask {
-		cc := clauses[ci]
-		n := -1
-		if len(cc.lits) > 0 {
-			cl := &cc.lits[0]
-			if cl.builtin == nil && !cl.neg {
-				if rel, err := e.resolve(cl); err == nil {
-					if pos == 0 {
-						rel = deltaRel
-					}
-					if len(cl.probeCols) == 0 {
-						n = rel.Len()
-					} else {
-						key := cl.keyBuf
-						for i, a := range cl.probeArgs {
-							key[i] = a.val
-						}
-						n = len(rel.Probe(cl.probeCols, key))
-					}
-				}
-			}
-		}
-		if n < 0 {
-			return append(tasks, pTask{ci: ci, pos: pos, lo: 0, hi: -1, deltaRel: deltaRel})
-		}
-		if n == 0 {
-			return tasks // nothing to enumerate, nothing to derive
-		}
-		shards := nw
-		if most := n / minShard; shards > most {
-			shards = most
-		}
-		if shards < 1 {
-			shards = 1
-		}
-		size := (n + shards - 1) / shards
-		for lo := 0; lo < n; lo += size {
-			hi := lo + size
-			if hi > n {
-				hi = n
-			}
-			tasks = append(tasks, pTask{ci: ci, pos: pos, lo: lo, hi: hi, deltaRel: deltaRel})
-		}
-		return tasks
-	}
-
-	finish := func(tasks []pTask, outs []*pOut, sink map[string]*relation.Relation) error {
-		merr := merge(tasks, outs, sink)
-		if err := pb.Err(); err != nil {
-			return err
-		}
-		return merr
-	}
-
-	// Seed round: every clause once against the full relations. Only
-	// recursive strata need the delta sinks for the rounds that follow.
-	e.stats.Iterations++
-	var delta map[string]*relation.Relation
-	if s.Recursive {
-		delta = map[string]*relation.Relation{}
-		for _, p := range s.Preds {
-			delta[p] = relation.NewDelta(p, e.work[p].Arity(), 0)
-		}
-	}
-	var tasks []pTask
-	for ci := 0; ci < sp.nseed; ci++ {
-		tasks = plan(ci, -1, nil, tasks)
-	}
-	if err := finish(tasks, runRound(tasks), delta); err != nil {
+	wg.Wait()
+	pb.Join()
+	merr := p.merge(tasks, outs, sink)
+	if err := pb.Err(); err != nil {
 		return err
 	}
-	if !s.Recursive {
-		return nil
-	}
+	return merr
+}
 
-	var recursive []int
-	for ci := 0; ci < sp.nseed; ci++ {
-		if len(sp.units[ci]) > 0 {
-			recursive = append(recursive, ci)
+// merge replays every task's derivations in planning order —
+// single-threaded, so insertion order, index maintenance, and the exact
+// tuple budget behave exactly as in a sequential run. Sound tuples from
+// a failed round are still merged (partial models are prefixes of the
+// perfect model), with the round's error taking precedence over a
+// budget trip during the merge itself.
+func (p *pool) merge(tasks []pTask, outs []*pOut, sink map[string]*relation.Relation) error {
+	e := p.e
+	for i, t := range tasks {
+		out := outs[i]
+		if out == nil {
+			continue
 		}
-	}
-
-	// Partition-parallel state. probeParts caches each probed relation's
-	// partitioning across rounds, keyed by (predicate, key column): the
-	// relation identity is stable for the whole stratum, so a cached
-	// partitioning only needs Refresh (routing the tuples the previous
-	// merge appended) instead of a rebuild. Both NewPartitioned and
-	// Refresh run here in the single-threaded planning phase, with the
-	// round's WaitGroup barrier ordering them against worker reads.
-	nparts := e.partitions()
-	type probeKey struct {
-		pred string
-		col  int
-	}
-	var probeParts map[probeKey]*relation.Partitioned
-	getParts := func(pred string, col int) *relation.Partitioned {
-		if probeParts == nil {
-			probeParts = map[probeKey]*relation.Partitioned{}
-		}
-		k := probeKey{pred, col}
-		if pp := probeParts[k]; pp != nil {
-			pp.Refresh()
-			return pp
-		}
-		pp := relation.NewPartitioned(e.work[pred], []int{col}, nparts)
-		probeParts[k] = pp
-		return pp
-	}
-
-	for {
-		total := 0
-		for _, d := range delta {
-			total += d.Len()
-		}
-		if total == 0 || len(recursive) == 0 {
-			return nil
-		}
-		if e.governed {
-			if err := e.g.Checkpoint(); err != nil {
+		e.stats.Derivations += out.stats.Derivations
+		e.stats.TuplesScanned += out.stats.TuplesScanned
+		cc := p.clauses[t.ci]
+		full := e.work[cc.headPred]
+		for _, tup := range out.derived {
+			if e.governed && e.g.AtTupleLimit() && !full.Contains(tup) {
+				return e.g.TryTuples(1)
+			}
+			added, err := full.Insert(tup) // tup is the worker's private clone
+			if err != nil {
 				return err
 			}
-		}
-		e.stats.Iterations++
-		next := map[string]*relation.Relation{}
-		for _, p := range s.Preds {
-			next[p] = relation.NewDelta(p, e.work[p].Arity(), delta[p].Len())
-		}
-		tasks = tasks[:0]
-		partedRound := false
-		for _, ci := range recursive {
-			for _, u := range sp.units[ci] {
-				cc := clauses[u.idx]
-				d := delta[cc.lits[u.pos].pred]
-				if d == nil || d.Len() == 0 {
-					continue
+			if !added {
+				continue
+			}
+			if e.governed {
+				if err := e.g.TryTuples(1); err != nil {
+					return err
 				}
-				if nparts > 1 && u.pos == 0 && u.part != nil {
-					// Partitioned unit: one task per non-empty delta
-					// partition, each probing the co-placed partition of
-					// the probe relation. Skipped partitions are the
-					// pruning win — they never build a probe index.
-					spec := u.part
-					dp := relation.NewPartitioned(d, []int{spec.deltaCol}, nparts)
-					pr := getParts(cc.lits[spec.probeDepth].pred, spec.probeCol)
-					if sk := dp.Skew(); sk > e.stats.PartitionSkew {
-						e.stats.PartitionSkew = sk
-					}
-					if nparts > e.stats.Partitions {
-						e.stats.Partitions = nparts
-					}
-					partedRound = true
-					for k := 0; k < nparts; k++ {
-						if dp.PartLen(k) == 0 {
-							continue
-						}
-						tasks = append(tasks, pTask{ci: u.idx, pos: 0, lo: 0, hi: -1,
-							deltaRel: dp.Part(k), partRel: pr.Part(k),
-							partDepth: spec.probeDepth, partIdx: k})
-					}
-					continue
-				}
-				tasks = plan(u.idx, u.pos, d, tasks)
+			}
+			e.stats.Inserted++
+			if sink != nil {
+				sink[cc.headPred].Append(tup)
 			}
 		}
-		if partedRound {
-			e.stats.PartitionedRounds++
-		}
-		if err := finish(tasks, runRound(tasks), next); err != nil {
-			return err
-		}
-		delta = next
 	}
+	return nil
+}
+
+// depth0Len reports how many tuples the depth-0 literal of clause ci
+// enumerates with the delta substituted at pos (-1 for none), or -1
+// when that literal is not a positive relational scan or constant-key
+// probe (at depth 0 nothing is bound yet, so probe keys are
+// all-constant).
+func (e *engine) depth0Len(cc *compiledClause, pos int, deltaRel *relation.Relation) int {
+	if len(cc.lits) == 0 {
+		return -1
+	}
+	cl := &cc.lits[0]
+	if cl.builtin != nil || cl.neg {
+		return -1
+	}
+	rel, err := e.resolve(cl)
+	if err != nil {
+		return -1
+	}
+	if pos == 0 {
+		rel = deltaRel
+	}
+	if len(cl.probeCols) == 0 {
+		return rel.Len()
+	}
+	key := cl.keyBuf
+	for i, a := range cl.probeArgs {
+		key[i] = a.val
+	}
+	return len(rel.Probe(cl.probeCols, key))
+}
+
+// shards appends the task shards for (ci, pos): the depth-0
+// enumeration range split into up to one shard per worker, none
+// smaller than minShard. A depth-0 literal depth0Len cannot size runs
+// as one task.
+func (p *pool) shards(ci, pos int, deltaRel *relation.Relation, tasks []pTask) []pTask {
+	n := p.e.depth0Len(p.clauses[ci], pos, deltaRel)
+	if n < 0 {
+		return append(tasks, pTask{ci: ci, pos: pos, lo: 0, hi: -1, deltaRel: deltaRel})
+	}
+	if n == 0 {
+		return tasks // nothing to enumerate, nothing to derive
+	}
+	shards := min(len(p.workers), n/minShard)
+	if shards < 1 {
+		shards = 1
+	}
+	size := (n + shards - 1) / shards
+	for lo := 0; lo < n; lo += size {
+		hi := min(lo+size, n)
+		tasks = append(tasks, pTask{ci: ci, pos: pos, lo: lo, hi: hi, deltaRel: deltaRel})
+	}
+	return tasks
+}
+
+// probePartitioning returns the probed relation pred partitioned on
+// column col, refreshed to its current length.
+func (p *pool) probePartitioning(pred string, col int) *relation.Partitioned {
+	if p.probeParts == nil {
+		p.probeParts = map[probeKey]*relation.Partitioned{}
+	}
+	k := probeKey{pred, col}
+	if pp := p.probeParts[k]; pp != nil {
+		pp.Refresh()
+		return pp
+	}
+	pp := relation.NewPartitioned(p.e.work[pred], []int{col}, p.nparts)
+	p.probeParts[k] = pp
+	return pp
+}
+
+// seedRound fans out the stratum's seed pass: every seed clause once
+// against the full relations.
+func (p *pool) seedRound(nseed int, sink map[string]*relation.Relation) error {
+	var tasks []pTask
+	for ci := 0; ci < nseed; ci++ {
+		tasks = p.shards(ci, -1, nil, tasks)
+	}
+	return p.round(tasks, sink)
+}
+
+// deltaRound fans out one semi-naive round over the delta units of the
+// recursive seed clauses. A unit whose plan carries a partition key
+// (and runs with a partition fan-out above 1) becomes one task per
+// non-empty delta partition; every other unit is range-sharded.
+func (p *pool) deltaRound(sp *stratumPlan, recursive []int, delta, next map[string]*relation.Relation) error {
+	e := p.e
+	var tasks []pTask
+	partedRound := false
+	for _, ci := range recursive {
+		for _, u := range sp.units[ci] {
+			cc := p.clauses[u.idx]
+			d := delta[cc.lits[u.pos].pred]
+			if d == nil || d.Len() == 0 {
+				continue
+			}
+			if p.nparts <= 1 || u.pos != 0 || u.part == nil {
+				tasks = p.shards(u.idx, u.pos, d, tasks)
+				continue
+			}
+			// Partitioned unit: one task per non-empty delta partition,
+			// each probing the co-placed partition of the probe relation.
+			// Skipped partitions are the pruning win — they never build a
+			// probe index.
+			spec := u.part
+			dp := relation.NewPartitioned(d, []int{spec.deltaCol}, p.nparts)
+			pr := p.probePartitioning(cc.lits[spec.probeDepth].pred, spec.probeCol)
+			if sk := dp.Skew(); sk > e.stats.PartitionSkew {
+				e.stats.PartitionSkew = sk
+			}
+			if p.nparts > e.stats.Partitions {
+				e.stats.Partitions = p.nparts
+			}
+			partedRound = true
+			for k := 0; k < p.nparts; k++ {
+				if dp.PartLen(k) == 0 {
+					continue
+				}
+				tasks = append(tasks, pTask{ci: u.idx, pos: 0, lo: 0, hi: -1,
+					deltaRel: dp.Part(k), partRel: pr.Part(k),
+					partDepth: spec.probeDepth, partIdx: k})
+			}
+		}
+	}
+	if partedRound {
+		e.stats.PartitionedRounds++
+	}
+	return p.round(tasks, next)
 }

@@ -168,7 +168,14 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	// never inserts into a relation it scans in the same instantiation
 	// path — recursive clauses read delta copies), so a snapshot of the
 	// length keeps iteration well-defined.
-	positions := rel.ProbeHint(cl.probeCols, key, cl.cardHint)
+	// The cardinality hint pre-sizes an index on the literal's whole
+	// relation; a delta is a fresh, usually far smaller relation every
+	// round, so its index is sized by its own length.
+	hint := cl.cardHint
+	if depth == deltaPos {
+		hint = 0
+	}
+	positions := rel.ProbeHint(cl.probeCols, key, hint)
 	n := len(positions)
 	if hi >= 0 {
 		positions, n = positions[lo:hi], hi-lo

@@ -7,6 +7,7 @@ import (
 
 	"idlog/internal/analysis"
 	"idlog/internal/ast"
+	"idlog/internal/magic"
 	"idlog/internal/relation"
 	"idlog/internal/value"
 )
@@ -208,5 +209,58 @@ func TestPlanReordersCounter(t *testing.T) {
 	}
 	if PlanReordersTotal() <= before {
 		t.Fatal("planner reordered nothing on an adversarial body")
+	}
+}
+
+// TestPlanCacheMastersCarryNoScratch: a run that misses the plan cache
+// publishes the plans it walked as cache masters, and their join
+// cursors must not come along — a cursor keeps the relations, scan
+// buffers and index buckets it last read, so a master holding one pins
+// the publishing run's whole model for the entry's lifetime. Evaluated
+// like a sequential prepared query: the demand-rewritten program of a
+// bound goal, a shared cache, a miss that publishes, then a hit.
+func TestPlanCacheMastersCarryNoScratch(t *testing.T) {
+	info := mustAnalyze(t, `
+		tc(X, Y) :- e(X, Y).
+		tc(X, Y) :- tc(X, Z), e(Z, Y).
+		ans(Y) :- tc(3, Y).
+	`)
+	rw, err := magic.Rewrite(info, "ans")
+	if err != nil {
+		t.Fatal(err)
+	}
+	minfo, err := analysis.Analyze(rw.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := chainDB(64)
+	pc := NewPlanCache(0)
+	for run := 0; run < 2; run++ {
+		res, err := Eval(minfo, db, Options{Parallelism: 1, PlanCache: pc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Relation("ans").Len(); n != 61 {
+			t.Fatalf("run %d: ans has %d tuples, want 61", run, n)
+		}
+	}
+	if hits, misses := pc.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("plan cache hits=%d misses=%d, want 1/1", hits, misses)
+	}
+	pc.mu.Lock()
+	defer pc.mu.Unlock()
+	clauses := 0
+	for _, el := range pc.items {
+		for si, sp := range el.Value.(*planEntry).plans {
+			for _, cc := range sp.all {
+				clauses++
+				if cc.iters != nil {
+					t.Errorf("stratum %d: cached clause %s holds cursor state", si, cc.srcText)
+				}
+			}
+		}
+	}
+	if clauses == 0 {
+		t.Fatal("no cached clauses inspected")
 	}
 }

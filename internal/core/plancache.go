@@ -132,6 +132,17 @@ func (p *PlanCache) put(k planKey, plans []*stratumPlan) {
 	}
 }
 
+// dropScratch releases the per-run state a finished run left in the
+// plan's clauses, so the plan can become a cache master. The join
+// cursors keep the relations, scan buffers and index buckets they last
+// walked; a published plan that kept them would pin the publishing
+// run's whole model for as long as the entry lives.
+func (sp *stratumPlan) dropScratch() {
+	for _, cc := range sp.all {
+		cc.iters = nil
+	}
+}
+
 // clone deep-copies the plan's clauses so the caller owns fresh scratch
 // buffers; the static unit schedule and seed count are shared (they are
 // never mutated after compilation).

@@ -262,8 +262,14 @@ func (rw *rewriter) clause(c *ast.Clause, ad string, guarded bool) error {
 					magicHead.Args = append(magicHead.Args, t)
 				}
 			}
-			rw.out = append(rw.out, &ast.Clause{Head: magicHead, Body: cloneLits(body)})
-			rw.res.MagicRules++
+			// A derived literal whose bound arguments are exactly the
+			// guard's, first in the body (a left-linear recursive call),
+			// would yield the tautology m(X) :- m(X): it adds no demand,
+			// so it is not emitted.
+			if !tautology(magicHead, body) {
+				rw.out = append(rw.out, &ast.Clause{Head: magicHead, Body: cloneLits(body)})
+				rw.res.MagicRules++
+			}
 			out.Atom.Pred = adornedName(l.Atom.Pred, lad)
 			if !guarded {
 				rw.res.GoalAdornment = append(rw.res.GoalAdornment, adornedName(l.Atom.Pred, lad))
@@ -278,6 +284,12 @@ func (rw *rewriter) clause(c *ast.Clause, ad string, guarded bool) error {
 	rw.out = append(rw.out, &ast.Clause{Head: head, Body: body})
 	rw.res.GuardedRules++
 	return nil
+}
+
+// tautology reports whether the magic rule head :- body is exactly
+// head :- head.
+func tautology(head *ast.Atom, body []*ast.Literal) bool {
+	return len(body) == 1 && !body[0].Neg && body[0].Atom.String() == head.String()
 }
 
 // request enqueues (pred, ad) for rewriting if unseen, refusing on a

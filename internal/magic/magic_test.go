@@ -188,3 +188,30 @@ func TestRewriteBuiltinsAllowed(t *testing.T) {
 		t.Fatalf("rewritten program does not analyze: %v", err)
 	}
 }
+
+// TestRewriteLeftLinearNoTautology: in a left-linear closure the
+// recursive call tc(X, Z) carries exactly the guard's binding, so its
+// magic rule would read m__tc__bf(X) :- m__tc__bf(X). The rewrite must
+// not emit it: the only magic rule left is the goal's seed fact.
+func TestRewriteLeftLinearNoTautology(t *testing.T) {
+	info := analyze(t, `
+		tc(X, Y) :- e(X, Y).
+		tc(X, Y) :- tc(X, Z), e(Z, Y).
+		ans(Y) :- tc(a, Y).
+	`)
+	rw, err := Rewrite(info, "ans")
+	if err != nil {
+		t.Fatalf("rewrite: %v", err)
+	}
+	for _, c := range rw.Program.Clauses {
+		if len(c.Body) == 1 && !c.Body[0].Neg && c.Body[0].Atom.String() == c.Head.String() {
+			t.Fatalf("tautological magic rule emitted: %s", c)
+		}
+	}
+	if rw.MagicRules != 1 {
+		t.Fatalf("magic rules = %d, want 1 (the seed)", rw.MagicRules)
+	}
+	if _, err := analysis.Analyze(rw.Program); err != nil {
+		t.Fatalf("rewritten program does not analyze: %v", err)
+	}
+}

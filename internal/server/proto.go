@@ -60,14 +60,15 @@ type budgetFields struct {
 	MaxDerivations int `json:"max_derivations,omitempty"`
 	// Parallelism asks for the fixpoint to run on this many worker
 	// goroutines (answers stay byte-identical to sequential runs).
-	// 0 applies the server default (auto: GOMAXPROCS clamped to 8);
-	// 1 forces sequential; values above the server's max_parallelism
-	// are clamped.
+	// 0 applies the engine's auto configuration (every round inline);
+	// 1 forces sequential; values above 1 fan every round out; values
+	// above the server's max_parallelism are clamped.
 	Parallelism int `json:"parallelism,omitempty"`
 	// Partitions asks for recursive delta passes to hash-partition
 	// their joins this many ways (answers stay byte-identical at any
-	// setting). 0 applies the server default (follow the resolved
-	// parallelism); 1 disables partitioning; values above the server's
+	// setting). 0 follows an explicit parallelism (with none, the auto
+	// configuration runs unpartitioned); 1 disables partitioning; values
+	// above 1 fan every round out; values above the server's
 	// max_partitions are clamped.
 	Partitions int `json:"partitions,omitempty"`
 	// Partial asks for the partial result alongside a budget-tripped
@@ -407,26 +408,24 @@ func (s *Server) parseBudget(b budgetFields) (budget, *apiError) {
 	if b.Parallelism < 0 {
 		return budget{}, apiErrorf(http.StatusBadRequest, "invalid_argument", "bad parallelism %d", b.Parallelism)
 	}
-	// Both knobs resolve to concrete values here rather than in the
-	// engine so the server's clamps are authoritative: an unset request
-	// takes the engine's auto default (GOMAXPROCS clamped) but never
-	// exceeds -max-parallelism / -max-partitions.
-	out.parallelism = b.Parallelism
-	if out.parallelism == 0 {
-		out.parallelism = idlog.DefaultParallelism()
-	}
-	if out.parallelism > s.cfg.MaxParallelism {
-		out.parallelism = s.cfg.MaxParallelism
-	}
 	if b.Partitions < 0 {
 		return budget{}, apiErrorf(http.StatusBadRequest, "invalid_argument", "bad partitions %d", b.Partitions)
 	}
+	// A request that sets neither knob stays unset: the engine's auto
+	// configuration runs every round inline, which fits under any clamp.
+	// Explicit values resolve to concrete clamped values here, so
+	// -max-parallelism / -max-partitions stay authoritative: unset
+	// partitions follow an explicit parallelism, and an explicit
+	// partition fan-out gets the clamped auto worker count instead of the
+	// engine's unclamped default.
+	out.parallelism = min(b.Parallelism, s.cfg.MaxParallelism)
 	out.partitions = b.Partitions
 	if out.partitions == 0 {
 		out.partitions = out.parallelism
 	}
-	if out.partitions > s.cfg.MaxPartitions {
-		out.partitions = s.cfg.MaxPartitions
+	out.partitions = min(out.partitions, s.cfg.MaxPartitions)
+	if out.partitions > 1 && out.parallelism == 0 {
+		out.parallelism = min(idlog.DefaultParallelism(), s.cfg.MaxParallelism)
 	}
 	return out, nil
 }
@@ -443,8 +442,8 @@ func (b budget) options() []idlog.Option {
 	if b.maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(b.maxDerivations))
 	}
-	// Always emitted explicitly (1 = sequential / unpartitioned): the
-	// engine's own auto defaults would bypass the server clamps.
+	// Emitted when resolved (1 = sequential / unpartitioned); zero
+	// leaves the engine's auto configuration, which runs inline.
 	if b.parallelism > 0 {
 		opts = append(opts, idlog.WithParallelism(b.parallelism))
 	}

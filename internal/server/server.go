@@ -42,14 +42,17 @@ type Config struct {
 	// MaxParallelism clamps per-request parallelism (the wire field
 	// "parallelism"): requests may fan each fixpoint round out over up
 	// to this many worker goroutines (default: GOMAXPROCS). Requests
-	// that set no parallelism take the engine auto default (GOMAXPROCS
-	// clamped to 8), then this clamp. Answers do not depend on the
-	// value; only latency does.
+	// that set neither parallelism nor partitions run the engine's auto
+	// configuration, which evaluates every round inline and so never
+	// exceeds any clamp; a clamp therefore never turns such a request
+	// into a fanned-out one. Requests that set only partitions above 1
+	// fan out over GOMAXPROCS workers (clamped to 8), then this clamp.
+	// Answers do not depend on the value; only latency does.
 	MaxParallelism int
 	// MaxPartitions clamps per-request hash-partition fan-out (the wire
 	// field "partitions"; default 64, the engine ceiling). Requests
-	// that set no fan-out follow their resolved parallelism. Answers do
-	// not depend on the value.
+	// that set no fan-out follow their explicit parallelism, if any.
+	// Answers do not depend on the value.
 	MaxPartitions int
 	// SessionTTL evicts sessions idle longer than this (default 15m).
 	SessionTTL time.Duration

@@ -185,6 +185,44 @@ func TestMagicPaperExamples(t *testing.T) {
 	}
 }
 
+// TestMagicLeftLinear pins the left-linear closure, whose rewrite drops
+// the tautological magic rule m__tc__bf(X) :- m__tc__bf(X): bound goals
+// still take the demand path and answer exactly as full evaluation does,
+// on a chain and on a graph with cycles.
+func TestMagicLeftLinear(t *testing.T) {
+	prog := mustParse(t, `
+		tc(X, Y) :- e(X, Y).
+		tc(X, Y) :- tc(X, Z), e(Z, Y).
+	`)
+	db := NewDatabase()
+	for i := 0; i < 40; i++ {
+		_ = db.Add("e", Ints(int64(i), int64(i+1)))
+		if i%7 == 0 {
+			_ = db.Add("e", Ints(int64(i+5), int64(i)))
+		}
+	}
+	for _, goal := range []string{"tc(0, Y)", "tc(12, Y)", "tc(40, Y)", "tc(3, 30)"} {
+		pq, err := prog.Prepare(goal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		on, err := pq.Query(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off, err := pq.Query(db, WithMagic(false))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !on.UsedMagic || off.UsedMagic {
+			t.Fatalf("%s: UsedMagic on=%v off=%v", goal, on.UsedMagic, off.UsedMagic)
+		}
+		if !reflect.DeepEqual(on.Rows, off.Rows) {
+			t.Fatalf("%s: magic rows %v, full evaluation %v", goal, on.Rows, off.Rows)
+		}
+	}
+}
+
 // TestMagicFallbackAndToggles pins the fallback matrix end to end:
 // inapplicable goals report UsesMagic()==false and still answer; the
 // WithMagic(false) and WithTrace escape hatches bypass an applicable

@@ -80,23 +80,27 @@ func WithMaxTuples(n int) Option {
 	return func(c *config) { c.limits.MaxTuples = n }
 }
 
-// WithParallelism evaluates each stratum's fixpoint rounds on n
-// worker goroutines. When unset (or 0) the worker count defaults to
-// runtime.GOMAXPROCS(0) clamped to 8, so multi-core machines evaluate
-// in parallel out of the box; pass 1 to force the sequential engine.
-// Answers are byte-identical to the sequential engine at every n:
-// workers only read round-start state and a deterministic ordered
-// merge performs every insertion, so tuple sets and ID assignment do
-// not depend on n. Budgets and cancellation are honored as hard
-// ceilings (the sequential engine additionally trips budgets at the
-// exact boundary). Tracing (WithTrace) forces sequential evaluation.
+// WithParallelism sets the worker pool of each stratum's fixpoint
+// rounds. An explicit n > 1 is forced: every round fans out over n
+// workers. When unset (or 0) the engine runs every round inline on the
+// calling goroutine, as WithParallelism(1) does, unless WithPartitions
+// asks for a fan-out above 1: measured fan-out never beat inline
+// evaluation on the workloads it was calibrated on (see DESIGN.md),
+// so parallel evaluation is opt-in. Answers are byte-identical at
+// every setting: fanned-out workers only read round-start state and a
+// deterministic ordered merge performs every insertion, so tuple sets
+// and ID assignment do not depend on n. Budgets and cancellation are
+// honored as hard ceilings (sequential rounds additionally trip
+// budgets at the exact boundary). Tracing (WithTrace) forces
+// sequential evaluation.
 func WithParallelism(n int) Option {
 	return func(c *config) { c.eval.Parallelism = n }
 }
 
-// DefaultParallelism reports the worker count used when WithParallelism
-// is unset: runtime.GOMAXPROCS(0) clamped to 8. Exposed so embedders
-// (idlogd) can resolve and clamp the effective value themselves.
+// DefaultParallelism reports the worker count of fanned-out rounds
+// when WithPartitions(n > 1) is set and WithParallelism is not:
+// runtime.GOMAXPROCS(0) clamped to 8. Exposed so embedders (idlogd)
+// can resolve and clamp the effective value themselves.
 func DefaultParallelism() int { return core.DefaultParallelism() }
 
 // WithPartitions sets the hash-partition fan-out of partition-parallel
@@ -105,9 +109,11 @@ func DefaultParallelism() int { return core.DefaultParallelism() }
 // delta and the probed relation on that key into n partitions, each
 // evaluated as an independent task against partition-local probe
 // indexes — no shared-index contention, and partitions no delta tuple
-// reaches never build an index at all. When unset (or 0) the fan-out
-// follows the worker count; WithPartitions(1) disables partitioning
-// and is the differential twin. Answer sets, ID assignment, and
+// reaches never build an index at all. An explicit n > 1 forces every
+// round to fan out and partition. When unset (or 0) the fan-out follows
+// an explicit WithParallelism(n > 1), and the auto configuration, which
+// runs inline, does not partition. WithPartitions(1) disables
+// partitioning and is the differential twin. Answer sets, ID assignment, and
 // fingerprints are byte-identical at every setting (tuple insertion
 // order may differ between fan-outs). Clause bodies with ID-literals
 // or negation, and runs with the planner off, fall back to the
