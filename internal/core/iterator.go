@@ -16,13 +16,14 @@ import (
 // slots currently pinned by the cursor stack.
 //
 // open snapshots what it enumerates at the moment the literal is
-// reached (relation length for scans, the index bucket for probes, the
-// builtin's solutions) and counts scan and probe snapshot ranges into
-// Stats.TuplesScanned up front; next yields in position order. Each
-// candidate tuple is evaluated with two pushdowns:
+// reached (the tuple range for scans, the index's position run for
+// probes, the builtin's solutions) and counts scan and probe snapshot
+// ranges into Stats.TuplesScanned up front; next yields in position
+// order. A scan over an in-memory relation reads the relation's own
+// tuple slice in place; a disk-backed one streams through a chunked
+// buffer. Each candidate tuple is evaluated with two pushdowns:
 //   - Selection pushdown: repeated-variable checks (cl.checks) compare
-//     positions of the candidate tuple directly, so the scan cursor
-//     filters while refilling its block buffer and rejected tuples
+//     positions of the candidate tuple directly, so rejected tuples
 //     never surface to the join loop.
 //   - Projection pushdown: only live binds (cl.binds) are stored into
 //     the environment; a variable read by nothing downstream costs
@@ -31,9 +32,9 @@ import (
 // capture (Trace) reads each ground body fact back from the cursors
 // instead (see recordProvenance).
 
-// scanChunk is the scan cursor's refill granularity: small enough to
-// stay resident in cache, large enough to amortize the per-call cost of
-// Relation.Scan over disk-backed blocks.
+// scanChunk is the scan cursor's refill granularity over disk-backed
+// relations: small enough to stay resident in cache, large enough to
+// amortize the per-call cost of Relation.Scan over segment blocks.
 const scanChunk = 256
 
 type iterKind uint8
@@ -53,14 +54,17 @@ type litIter struct {
 	cl   *compiledLit
 	rel  *relation.Relation
 
-	// Scan state: next refill position, snapshot end, and the buffer of
-	// pre-filtered tuples (retained across opens for its capacity).
+	// Scan state: the window being read (the in-memory relation's own
+	// tuple slice, or buf) and the read index in it, then the next
+	// refill position and snapshot end of a disk-backed scan, whose
+	// chunks land in buf (retained across opens for its capacity).
+	tuples  []value.Tuple
+	tIdx    int
 	pos, hi int
 	buf     []value.Tuple
-	bufIdx  int
 
-	// Probe state: the index bucket slice and snapshot length.
-	positions []int
+	// Probe state: the index's position run and snapshot length.
+	positions []int32
 	idx, n    int
 
 	// Builtin state.
@@ -150,8 +154,16 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 		}
 		rn.stats.TuplesScanned += hi - lo
 		it.kind = iterScan
-		it.pos, it.hi = lo, hi
-		it.buf, it.bufIdx = it.buf[:0], 0
+		it.tIdx = 0
+		if rel.SourceLen() == 0 {
+			// In memory: read the [lo, hi) snapshot of the tuple slice in
+			// place. Later inserts append past hi and never touch it.
+			it.tuples = rel.Tuples()[lo:hi:hi]
+			it.pos, it.hi = hi, hi
+		} else {
+			it.tuples = it.buf[:0]
+			it.pos, it.hi = lo, hi
+		}
 		return nil
 	}
 	key := cl.keyBuf
@@ -162,20 +174,11 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 			key[i] = env[a.slot]
 		}
 	}
-	// The positions slice is the index's own bucket and must not be
-	// mutated. Inserts during iteration may append to it, but appended
-	// tuples are new head derivations of *other* relations (a clause
-	// never inserts into a relation it scans in the same instantiation
-	// path — recursive clauses read delta copies), so a snapshot of the
-	// length keeps iteration well-defined.
-	// The cardinality hint pre-sizes an index on the literal's whole
-	// relation; a delta is a fresh, usually far smaller relation every
-	// round, so its index is sized by its own length.
-	hint := cl.cardHint
-	if depth == deltaPos {
-		hint = 0
-	}
-	positions := rel.ProbeHint(cl.probeCols, key, hint)
+	// The positions slice is a read-only snapshot of the index's run:
+	// inserts during iteration (head derivations into the probed
+	// relation) append past its length or move the run elsewhere, so
+	// iteration stays well-defined.
+	positions := rel.Probe(cl.probeCols, key)
 	n := len(positions)
 	if hi >= 0 {
 		positions, n = positions[lo:hi], hi-lo
@@ -210,7 +213,7 @@ func (rn *runner) nextIter(it *litIter, env []value.Value) bool {
 		return false
 	case iterProbe:
 		for it.idx < it.n {
-			t := it.rel.At(it.positions[it.idx])
+			t := it.rel.At(int(it.positions[it.idx]))
 			it.idx++
 			if !checksPass(cl.checks, t) {
 				continue
@@ -223,9 +226,12 @@ func (rn *runner) nextIter(it *litIter, env []value.Value) bool {
 		return false
 	default: // iterScan
 		for {
-			if it.bufIdx < len(it.buf) {
-				t := it.buf[it.bufIdx]
-				it.bufIdx++
+			if it.tIdx < len(it.tuples) {
+				t := it.tuples[it.tIdx]
+				it.tIdx++
+				if !checksPass(cl.checks, t) {
+					continue
+				}
 				for _, b := range cl.binds {
 					env[b.slot] = t[b.pos]
 				}
@@ -234,27 +240,25 @@ func (rn *runner) nextIter(it *litIter, env []value.Value) bool {
 			if it.pos >= it.hi {
 				return false
 			}
-			it.refill(cl)
+			it.refill()
 		}
 	}
 }
 
-// refill advances the scan cursor by one chunk, applying the pushed-down
-// selections so the buffer holds only matching tuples. Scan streams
-// block-at-a-time from disk-backed relations, so a chunked scan never
-// materializes the relation in memory.
-func (it *litIter) refill(cl *compiledLit) {
+// refill advances a disk-backed scan cursor by one chunk. Scan streams
+// block-at-a-time, so a chunked scan never materializes the relation
+// in memory.
+func (it *litIter) refill() {
 	end := it.pos + scanChunk
 	if end > it.hi {
 		end = it.hi
 	}
-	it.buf, it.bufIdx = it.buf[:0], 0
+	it.buf = it.buf[:0]
 	it.rel.Scan(it.pos, end, func(_ int, t value.Tuple) bool {
-		if checksPass(cl.checks, t) {
-			it.buf = append(it.buf, t)
-		}
+		it.buf = append(it.buf, t)
 		return true
 	})
+	it.tuples, it.tIdx = it.buf, 0
 	it.pos = end
 }
 

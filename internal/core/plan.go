@@ -293,26 +293,6 @@ type stratumPlan struct {
 	units [][]planUnit
 }
 
-// setCardHints snapshots the planner's cardinality estimate into each
-// probed relational literal, so a probe that has to build its index
-// mid-fixpoint pre-sizes the bucket map for the relation's estimated
-// final size (relation.ProbeHint) instead of its current length.
-func setCardHints(cc *compiledClause, card cardFn) {
-	body := cc.src.Clause.Body
-	if card == nil || len(cc.lits) != len(body) {
-		return
-	}
-	for i := range cc.lits {
-		cl := &cc.lits[i]
-		if cl.builtin != nil || cl.neg || len(cl.probeCols) == 0 {
-			continue
-		}
-		if est := card(body[i]); est > 0 {
-			cl.cardHint = int(est)
-		}
-	}
-}
-
 // compileStratumPlan compiles stratum s. With the planner on, every
 // clause body is selectivity-ordered under the cardinality snapshot and
 // every recursive position gets a delta-first variant; with it off, the
@@ -330,7 +310,6 @@ func compileStratumPlan(s *analysis.Stratum, inStratum func(string) bool, card c
 		if err != nil {
 			return nil, err
 		}
-		setCardHints(cc, card)
 		sp.all = append(sp.all, cc)
 	}
 	sp.nseed = len(sp.all)
@@ -363,7 +342,6 @@ func compileStratumPlan(s *analysis.Stratum, inStratum func(string) bool, card c
 			if err != nil {
 				return nil, err
 			}
-			setCardHints(vcc, card)
 			sp.units[ci] = append(sp.units[ci],
 				planUnit{idx: len(sp.all), pos: 0, part: choosePartition(vbody, card)})
 			sp.all = append(sp.all, vcc)

@@ -214,8 +214,8 @@ func TestPlanReordersCounter(t *testing.T) {
 
 // TestPlanCacheMastersCarryNoScratch: a run that misses the plan cache
 // publishes the plans it walked as cache masters, and their join
-// cursors must not come along — a cursor keeps the relations, scan
-// buffers and index buckets it last read, so a master holding one pins
+// cursors must not come along — a cursor keeps the relations, tuple
+// windows and index runs it last read, so a master holding one pins
 // the publishing run's whole model for the entry's lifetime. Evaluated
 // like a sequential prepared query: the demand-rewritten program of a
 // bound goal, a shared cache, a miss that publishes, then a hit.

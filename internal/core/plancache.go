@@ -134,7 +134,7 @@ func (p *PlanCache) put(k planKey, plans []*stratumPlan) {
 
 // dropScratch releases the per-run state a finished run left in the
 // plan's clauses, so the plan can become a cache master. The join
-// cursors keep the relations, scan buffers and index buckets they last
+// cursors keep the relations, tuple windows and index runs they last
 // walked; a published plan that kept them would pin the publishing
 // run's whole model for as long as the entry lives.
 func (sp *stratumPlan) dropScratch() {

@@ -71,16 +71,16 @@ func (e *engine) recordProvenance(cc *compiledClause, env []value.Value, stored 
 }
 
 // groundFact returns a copy of the ground fact the cursor last yielded:
-// the matched tuple or builtin solution, or — for a negated literal,
-// which safety makes fully bound — the literal instantiated from env.
-// Scan buffers, disk-backed tuples and builtin solutions are scratch,
-// hence the copy.
+// the matched tuple (read in place or from the scan buffer) or builtin
+// solution, or — for a negated literal, which safety makes fully bound —
+// the literal instantiated from env. Relation tuples, disk-backed tuples
+// and builtin solutions are not the caller's to keep, hence the copy.
 func groundFact(it *litIter, env []value.Value) value.Tuple {
 	switch it.kind {
 	case iterScan:
-		return it.buf[it.bufIdx-1].Clone()
+		return it.tuples[it.tIdx-1].Clone()
 	case iterProbe:
-		return it.rel.At(it.positions[it.idx-1]).Clone()
+		return it.rel.At(int(it.positions[it.idx-1])).Clone()
 	case iterBuiltin:
 		return value.Tuple(it.sols[it.solIdx-1]).Clone()
 	}

@@ -14,12 +14,12 @@ import (
 // storage is never copied, so disk-backed parents keep their bounded
 // residency), exposed as a read-only *Relation through a delegating
 // TupleSource. Because a partition view is a real Relation, the whole
-// probe machinery — lazy secondary indexes, ProbeHint pre-sizing,
-// collision-checked buckets — works per partition unchanged: each
-// partition owns partition-local indexes covering only its tuples,
-// built independently (and therefore in parallel, by whichever worker
-// owns the partition) and only for partitions that are actually
-// probed.
+// probe machinery — lazy slab indexes (index.go), grown in place by
+// Refresh and collision-checked against their key arenas — works per
+// partition unchanged: each partition owns partition-local indexes
+// covering only its tuples, built independently (and therefore in
+// parallel, by whichever worker owns the partition) and only for
+// partitions that are actually probed.
 //
 // The partition function is pure content hashing (ProjectHash of the
 // key columns), so two relations partitioned on matching columns with
@@ -54,18 +54,18 @@ func PartitionedTuplesTotal() uint64 { return partitionedTuples.Load() }
 // which is all the readers ever observe.
 type partView struct {
 	parent *Relation
-	pos    []int
+	pos    []int32
 }
 
 func (v *partView) Len() int             { return len(v.pos) }
-func (v *partView) At(i int) value.Tuple { return v.parent.At(v.pos[i]) }
-func (v *partView) HashAt(i int) uint64  { return v.parent.hashAt(v.pos[i]) }
+func (v *partView) At(i int) value.Tuple { return v.parent.At(int(v.pos[i])) }
+func (v *partView) HashAt(i int) uint64  { return v.parent.hashAt(int(v.pos[i])) }
 func (v *partView) Scan(lo, hi int, fn func(pos int, t value.Tuple) bool) bool {
 	if hi < 0 || hi > len(v.pos) {
 		hi = len(v.pos)
 	}
 	for i := lo; i < hi; i++ {
-		if !fn(i, v.parent.At(v.pos[i])) {
+		if !fn(i, v.parent.At(int(v.pos[i]))) {
 			return false
 		}
 	}
@@ -136,7 +136,7 @@ func (p *Partitioned) Refresh() {
 		k := int(t.ProjectHash(p.cols) % nparts)
 		v := p.views[k]
 		local := len(v.pos)
-		v.pos = append(v.pos, p.scanned)
+		v.pos = append(v.pos, int32(p.scanned))
 		part := p.parts[k]
 		part.nsrc = len(v.pos)
 		if idxs := part.shared.Load(); idxs != nil {

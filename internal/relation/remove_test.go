@@ -74,7 +74,7 @@ func TestRemoveInvalidatesIndexes(t *testing.T) {
 		}
 	}
 	for _, pos := range r.Probe([]int{0}, key) {
-		tup := r.At(pos)
+		tup := r.At(int(pos))
 		if !tup[0].Equal(value.Int(3)) {
 			t.Fatalf("stale index position %d -> %s", pos, tup)
 		}

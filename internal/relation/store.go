@@ -14,7 +14,9 @@ import "idlog/internal/value"
 // The Freeze/COW contract, shared by all implementations:
 //
 //   - While unfrozen, a Store is single-goroutine: Insert extends it in
-//     place and published secondary indexes are maintained per insert.
+//     place and published secondary indexes are maintained per insert
+//     (appending to their position runs, so probe results handed out
+//     earlier keep their contents).
 //   - Freeze makes it immutable and safe for any number of concurrent
 //     readers; Insert then fails. Lazy secondary indexes build under a
 //     lock and publish atomically (copy-on-write), never mutating a
@@ -46,8 +48,9 @@ type Store interface {
 	Scan(lo, hi int, fn func(pos int, t value.Tuple) bool) bool
 	// ProbeIndex returns the positions whose projection onto cols
 	// equals key, building (and thereafter maintaining) a secondary
-	// index on cols on first use.
-	ProbeIndex(cols []int, key value.Tuple) []int
+	// index on cols on first use. The result is a read-only snapshot:
+	// later inserts append past its length and never change it.
+	ProbeIndex(cols []int, key value.Tuple) []int32
 	// Fingerprint is the canonical set identity: equal tuple sets have
 	// equal fingerprints regardless of engine, insertion order, or
 	// storage layout. The cross-engine differential tests rely on it.
@@ -111,7 +114,7 @@ func NewStored(name string, arity int, src TupleSource) *Relation {
 func (r *Relation) EstimateCard() int { return r.Len() }
 
 // ProbeIndex is Probe under its Store-contract name.
-func (r *Relation) ProbeIndex(cols []int, key value.Tuple) []int {
+func (r *Relation) ProbeIndex(cols []int, key value.Tuple) []int32 {
 	return r.Probe(cols, key)
 }
 

@@ -32,8 +32,8 @@ func TestRemoveKeepsIndexesPublished(t *testing.T) {
 		t.Fatalf("Remove dropped or republished the index list")
 	}
 	for _, pos := range r.Probe([]int{0}, value.Tuple{value.Int(3)}) {
-		if !r.At(pos)[0].Equal(value.Int(3)) {
-			t.Fatalf("patched index returned wrong tuple %s", r.At(pos))
+		if !r.At(int(pos))[0].Equal(value.Int(3)) {
+			t.Fatalf("patched index returned wrong tuple %s", r.At(int(pos)))
 		}
 	}
 }
@@ -67,7 +67,7 @@ func TestInterleavedInsertRemoveProbes(t *testing.T) {
 			key := probe.Project(cols)
 			got := map[string]int{}
 			for _, pos := range r.Probe(cols, key) {
-				got[r.At(pos).String()]++
+				got[r.At(int(pos)).String()]++
 			}
 			want := map[string]int{}
 			for _, u := range r.Tuples() {

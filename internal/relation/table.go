@@ -9,7 +9,7 @@ import (
 // The tuple store resolves 64-bit hash collisions with full Tuple.Equal
 // checks; these counters record how often an equal hash turned out to be
 // an unequal tuple (primary table) or an unequal projection (secondary
-// index buckets). They are process-global, exported for the idlogd
+// index keys). They are process-global, exported for the idlogd
 // /metrics endpoint, and expected to stay at zero essentially forever.
 var (
 	primaryHashCollisions   atomic.Uint64
@@ -17,7 +17,7 @@ var (
 )
 
 // CollisionCounts returns the process-wide number of observed 64-bit
-// hash collisions in primary tables and secondary index buckets.
+// hash collisions in primary tables and secondary indexes.
 func CollisionCounts() (primary, secondary uint64) {
 	return primaryHashCollisions.Load(), secondaryHashCollisions.Load()
 }

@@ -246,7 +246,7 @@ func (m *metrics) render(b *strings.Builder, gauges map[string]float64) {
 	counter("idlogd_plan_reorders_total", "Clause bodies the cost-based join planner reordered away from the analysis order.", core.PlanReordersTotal())
 	primCol, secCol := relation.CollisionCounts()
 	counter("idlogd_tuple_store_primary_collisions_total", "64-bit hash collisions observed in relation primary tables.", primCol)
-	counter("idlogd_tuple_store_secondary_collisions_total", "64-bit hash collisions observed in secondary index buckets.", secCol)
+	counter("idlogd_tuple_store_secondary_collisions_total", "64-bit hash collisions observed in secondary index keys.", secCol)
 
 	type prow struct {
 		pred            string
