@@ -310,20 +310,16 @@ func TestChaosNoGoroutineLeak(t *testing.T) {
 // TestDerivationBudgetBoundary: the budget fires at EXACTLY the
 // configured limit — the partial run performs MaxDerivations
 // derivations, not one more — and each partial model is a sound prefix
-// of the full one. (Satellite c, E6 kernel.) Exactness at the boundary
-// is a sequential-engine guarantee, so the test pins WithParallelism(1):
-// the parallel ledger promises a hard ceiling (never more than the
-// limit), not an exact landing — workers stop at grant boundaries and
-// refund unused slack.
+// of the full one. (Satellite c, E6 kernel.)
 func TestDerivationBudgetBoundary(t *testing.T) {
 	prog, db := chainProg(t), chainDB(t, 50)
-	full, err := prog.Eval(db, WithParallelism(1))
+	full, err := prog.Eval(db)
 	if err != nil {
 		t.Fatal(err)
 	}
 	totalDerivations := full.Stats.Derivations
 	for _, limit := range []int{1, 2, 17, 256, 257, 1000, totalDerivations - 1} {
-		res, err := prog.Eval(db, WithParallelism(1), WithMaxDerivations(limit))
+		res, err := prog.Eval(db, WithMaxDerivations(limit))
 		wantCode(t, err, CodeResourceExhausted)
 		wantPartial(t, res, err)
 		if res.Stats.Derivations != limit {
@@ -334,7 +330,7 @@ func TestDerivationBudgetBoundary(t *testing.T) {
 	}
 	// At or above the run's true cost the budget never fires.
 	for _, limit := range []int{totalDerivations, totalDerivations + 1} {
-		res, err := prog.Eval(db, WithParallelism(1), WithMaxDerivations(limit))
+		res, err := prog.Eval(db, WithMaxDerivations(limit))
 		if err != nil || res.Incomplete {
 			t.Fatalf("limit %d >= total %d still tripped: %v", limit, totalDerivations, err)
 		}
@@ -403,6 +399,65 @@ func TestTupleBudgetBoundaryE1(t *testing.T) {
 	res, err = prog.Eval(db, WithSeed(seed), WithMaxTuples(idRows+sampled))
 	if err != nil || res.Incomplete {
 		t.Fatalf("exact-fit budget still tripped: %v", err)
+	}
+}
+
+// chainsDB is k disjoint chains of l edges; starts marks the head of
+// the first `starts` chains. With reverse set, each chain's edges are
+// stored last edge first.
+func chainsDB(k, l, starts int, reverse bool) *Database {
+	db := NewDatabase()
+	for c := 0; c < k; c++ {
+		for j := 0; j < l; j++ {
+			i := j
+			if reverse {
+				i = l - 1 - j
+			}
+			_ = db.Add("e", Ints(int64(c*(l+1)+i), int64(c*(l+1)+i+1)))
+		}
+		if c < starts {
+			_ = db.Add("start", Ints(int64(c*(l+1))))
+		}
+	}
+	db.Freeze()
+	return db
+}
+
+// TestAutoBudgets: on wide rounds (8000 reach chains, 16000 tuples
+// after the seed round) budgets trip in the seed round and in later
+// rounds with typed ResourceExhausted errors and partial models that
+// are sound prefixes of the full model; the tuple budget lands exactly
+// and the derivation budget exactly, and a tuple budget equal to the
+// model size never trips.
+func TestAutoBudgets(t *testing.T) {
+	prog := mustParse(t, `
+		reach(X) :- start(X).
+		reach(Y) :- reach(X), e(X, Y).
+	`)
+	db := chainsDB(8000, 3, 8000, true)
+	full, err := prog.Eval(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{10000, 20000, 30000} {
+		res, err := prog.Eval(db, WithMaxTuples(limit))
+		wantCode(t, err, CodeResourceExhausted)
+		wantPartial(t, res, err)
+		subsetOf(t, prog, res, full)
+		if got := countIDB(prog, res); got != limit {
+			t.Fatalf("max tuples %d: partial model holds %d tuples", limit, got)
+		}
+		res, err = prog.Eval(db, WithMaxDerivations(limit))
+		wantCode(t, err, CodeResourceExhausted)
+		wantPartial(t, res, err)
+		subsetOf(t, prog, res, full)
+		if res.Stats.Derivations != limit {
+			t.Fatalf("max derivations %d: ran %d derivations", limit, res.Stats.Derivations)
+		}
+	}
+	res, err := prog.Eval(db, WithMaxTuples(countIDB(prog, full)))
+	if err != nil || res.Incomplete {
+		t.Fatalf("max tuples == model size still tripped: %v", err)
 	}
 }
 

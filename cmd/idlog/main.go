@@ -18,13 +18,6 @@
 //	-timeout d       wall-clock budget for the run, e.g. 5s, 300ms (0 = none)
 //	-max-tuples n    materialized-tuple budget, a memory ceiling (0 = none)
 //	-max-derivations n  derivation budget, a work ceiling (0 = none)
-//	-parallel n      evaluate fixpoints on n worker goroutines (answers
-//	                 stay byte-identical to sequential; default 0 = auto:
-//	                 every round inline unless -partitions > 1;
-//	                 1 = sequential; n > 1 fans every round out)
-//	-partitions n    hash-partition recursive delta passes n ways with
-//	                 partition-local probe indexes (default 0 = follow
-//	                 -parallel; 1 = off; answers stay byte-identical)
 //	-plan            print the join plans the engine would use and exit
 //	-planner=false   disable the cost-based join planner (bodies run in
 //	                 the analysis safety order; same model, for ablation)
@@ -130,8 +123,6 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget for the run (0 = none)")
 	maxTuples := flag.Int("max-tuples", 0, "materialized-tuple budget, a memory ceiling (0 = none)")
 	maxDerivations := flag.Int("max-derivations", 0, "derivation budget, a work ceiling (0 = none)")
-	parallel := flag.Int("parallel", 0, "worker goroutines for fixpoint evaluation (0 = auto, 1 = sequential)")
-	partitions := flag.Int("partitions", 0, "hash-partition fan-out for recursive delta passes (0 = follow -parallel, 1 = off)")
 	partial := flag.Bool("partial", false, "on a tripped budget/timeout, still print the partial model")
 	optimize := flag.String("optimize", "", "print the optimized program w.r.t. this predicate and exit")
 	show := flag.Bool("show", false, "print the evaluated (choice-translated) program")
@@ -228,8 +219,6 @@ func main() {
 			timeout:        *timeout,
 			maxTuples:      *maxTuples,
 			maxDerivations: *maxDerivations,
-			parallel:       *parallel,
-			partitions:     *partitions,
 			noPlanner:      !*planner,
 			noMagic:        !*magic,
 		}, db, log, preload...)
@@ -314,12 +303,6 @@ func main() {
 	}
 	if *maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(*maxDerivations))
-	}
-	if *parallel > 0 {
-		opts = append(opts, idlog.WithParallelism(*parallel))
-	}
-	if *partitions > 0 {
-		opts = append(opts, idlog.WithPartitions(*partitions))
 	}
 	if !*planner {
 		opts = append(opts, idlog.WithPlanner(false))

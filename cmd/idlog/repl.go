@@ -22,8 +22,6 @@ type replLimits struct {
 	timeout        time.Duration
 	maxTuples      int
 	maxDerivations int
-	parallel       int
-	partitions     int
 	noPlanner      bool
 	noMagic        bool
 }
@@ -39,12 +37,6 @@ func (l replLimits) options() []idlog.Option {
 	}
 	if l.maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(l.maxDerivations))
-	}
-	if l.parallel > 0 {
-		opts = append(opts, idlog.WithParallelism(l.parallel))
-	}
-	if l.partitions > 0 {
-		opts = append(opts, idlog.WithPartitions(l.partitions))
 	}
 	if l.noPlanner {
 		opts = append(opts, idlog.WithPlanner(false))
@@ -66,18 +58,6 @@ func (l replLimits) String() string {
 	if l.timeout > 0 {
 		t = l.timeout.String()
 	}
-	p := "auto"
-	if l.parallel == 1 {
-		p = "1 (sequential)"
-	} else if l.parallel > 1 {
-		p = strconv.Itoa(l.parallel)
-	}
-	pt := "auto"
-	if l.partitions == 1 {
-		pt = "1 (off)"
-	} else if l.partitions > 1 {
-		pt = strconv.Itoa(l.partitions)
-	}
 	pl := "on"
 	if l.noPlanner {
 		pl = "off"
@@ -86,8 +66,8 @@ func (l replLimits) String() string {
 	if l.noMagic {
 		mg = "off"
 	}
-	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s, parallel=%s, partitions=%s, planner=%s, magic=%s",
-		t, show(l.maxTuples), show(l.maxDerivations), p, pt, pl, mg)
+	return fmt.Sprintf("limits: timeout=%s, max-tuples=%s, max-derivations=%s, planner=%s, magic=%s",
+		t, show(l.maxTuples), show(l.maxDerivations), pl, mg)
 }
 
 // repl is the interactive session state. Clauses hold the session
@@ -122,11 +102,7 @@ const replHelp = `commands:
                                  (body order, probe columns, estimated rows)
   :limits [KEY VALUE ...]        show or set per-query budgets; keys:
                                  timeout (duration), max-tuples,
-                                 max-derivations (0 = off), parallel
-                                 (worker goroutines, 0 = auto,
-                                 1 = sequential), partitions (hash
-                                 fan-out for recursive delta passes,
-                                 0 = follow parallel, 1 = off),
+                                 max-derivations (0 = off),
                                  planner (on/off), magic (on/off:
                                  goal-directed magic-sets rewriting
                                  for bound queries)
@@ -279,7 +255,7 @@ func (s *repl) command(line string) bool {
 // with keys timeout, max-tuples, max-derivations; 0 switches one off.
 func (s *repl) limitsCommand(args []string) {
 	if len(args)%2 != 0 {
-		fmt.Fprintln(s.out, "usage: :limits [timeout D] [max-tuples N] [max-derivations N] [parallel N] [partitions N]")
+		fmt.Fprintln(s.out, "usage: :limits [timeout D] [max-tuples N] [max-derivations N] [planner on|off] [magic on|off]")
 		return
 	}
 	next := s.limits
@@ -307,20 +283,6 @@ func (s *repl) limitsCommand(args []string) {
 				return
 			}
 			next.maxDerivations = n
-		case "parallel":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				fmt.Fprintln(s.out, "bad parallel:", val)
-				return
-			}
-			next.parallel = n
-		case "partitions":
-			n, err := strconv.Atoi(val)
-			if err != nil || n < 0 {
-				fmt.Fprintln(s.out, "bad partitions:", val)
-				return
-			}
-			next.partitions = n
 		case "planner":
 			switch val {
 			case "on", "true", "1":

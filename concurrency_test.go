@@ -213,6 +213,29 @@ func mustParse(t *testing.T, src string) *Program {
 	return p
 }
 
+// paperDB is the database the paper-example suites run over: persons
+// (Examples 1–3), employees in departments (Examples 4–5) and a p/2
+// chain with side branches (Examples 6–8).
+func paperDB() *Database {
+	db := NewDatabase()
+	for i := 0; i < 6; i++ {
+		_ = db.Add("person", Strs(fmt.Sprintf("p%02d", i)))
+	}
+	for d := 0; d < 4; d++ {
+		for e := 0; e < 5; e++ {
+			_ = db.Add("emp", Strs(fmt.Sprintf("e%d_%d", d, e), fmt.Sprintf("dept%d", d)))
+		}
+	}
+	for i := 0; i < 30; i++ {
+		_ = db.Add("p", Strs(fmt.Sprintf("v%03d", i), fmt.Sprintf("v%03d", i+1)))
+		if i%5 == 0 {
+			_ = db.Add("p", Strs(fmt.Sprintf("v%03d", i), fmt.Sprintf("w%03d", i)))
+		}
+	}
+	db.Freeze()
+	return db
+}
+
 // paperExamples are the programs of the paper's Examples 1–8 (the §4
 // rewrites of Example 6 — Examples 7 and 8 — are derived below via
 // Program.Optimize, exactly as the paper derives them).
@@ -249,12 +272,12 @@ var paperExamples = []struct {
 	`},
 }
 
-// TestConcurrentParallelEvalMatchesSequential is the parallel
-// evaluator's race-detector stress run: 64 goroutines evaluate the
-// paper's Example 1–8 programs with WithParallelism(2..8) over one
-// shared frozen database, and every model fingerprint must equal the
-// sequential baseline. Run with -race: it exercises the worker pool,
-// the shared COW index publication, and the ordered merge all at once.
+// TestConcurrentParallelEvalMatchesSequential is the race-detector
+// stress run of concurrent evaluation: 64 goroutines evaluate the
+// paper's Example 1–8 programs over one shared frozen database, and
+// every model fingerprint must equal the baseline computed before any
+// concurrency. Run with -race: it exercises the shared copy-on-write
+// index publication that idlogd's concurrent queries rely on.
 func TestConcurrentParallelEvalMatchesSequential(t *testing.T) {
 	db := paperDB()
 
@@ -277,9 +300,9 @@ func TestConcurrentParallelEvalMatchesSequential(t *testing.T) {
 	}
 	workloads = append(workloads, workload{"ex7-8-optimized", ex8, nil})
 
-	// Sequential baselines, one full-model fingerprint per workload.
-	modelOf := func(w workload, extra ...Option) (string, error) {
-		res, err := w.prog.Eval(db, append(append([]Option{}, w.opts...), extra...)...)
+	// Baselines, one full-model fingerprint per workload.
+	modelOf := func(w workload) (string, error) {
+		res, err := w.prog.Eval(db, w.opts...)
 		if err != nil {
 			return "", fmt.Errorf("%s: %w", w.name, err)
 		}
@@ -305,16 +328,14 @@ func TestConcurrentParallelEvalMatchesSequential(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			workers := []int{2, 3, 4, 8}[g%4]
 			for i, w := range workloads {
-				got, err := modelOf(w, WithParallelism(workers))
+				got, err := modelOf(w)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d: %w", g, err)
 					return
 				}
 				if got != want[i] {
-					errs <- fmt.Errorf("goroutine %d: %s with %d workers diverged from sequential",
-						g, w.name, workers)
+					errs <- fmt.Errorf("goroutine %d: %s diverged from the baseline", g, w.name)
 					return
 				}
 			}

@@ -92,7 +92,7 @@ type Stratum struct {
 	IDNeeds []IDNeed
 	// Recursive reports whether any clause of the stratum is recursive.
 	// Non-recursive strata reach fixpoint in a single seed round, so
-	// evaluators (sequential and parallel alike) skip the delta-round
+	// evaluators skip the delta-round
 	// scheduling — no delta sinks, no round loop — for them.
 	Recursive bool
 }

@@ -8,6 +8,7 @@ package bench
 import (
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -208,6 +209,21 @@ func (t *Table) RenderMarkdown() string {
 	}
 	for _, n := range t.Notes {
 		fmt.Fprintf(&b, "\n*%s*\n", n)
+	}
+	return b.String()
+}
+
+// resultFingerprint renders every output predicate canonically, in
+// sorted predicate order.
+func resultFingerprint(res *core.Result, info *analysis.Info) string {
+	preds := make([]string, 0, len(info.IDB))
+	for p := range info.IDB {
+		preds = append(preds, p)
+	}
+	sort.Strings(preds)
+	var b strings.Builder
+	for _, p := range preds {
+		fmt.Fprintf(&b, "%s=%s\n", p, res.Relation(p).Fingerprint())
 	}
 	return b.String()
 }

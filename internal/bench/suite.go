@@ -41,14 +41,6 @@ type Suite struct {
 	E12Clients  []int
 	E12Requests int
 	E12Emp      [2]int
-	// E13Workers are the parallelism levels for the scaling experiment;
-	// E13Reps is the timed-runs-per-cell sample and E13Grid/E13Chain/
-	// E13Emp size its kernels.
-	E13Workers []int
-	E13Reps    int
-	E13Grid    int
-	E13Chain   int
-	E13Emp     [2]int
 	// E14Chain/E14Grid size the transitive-closure graphs for the
 	// incremental-maintenance experiment; E14Persons/E14Emp/E14PGraph
 	// size the paper-example EDBs it maintains views over.
@@ -81,13 +73,6 @@ type Suite struct {
 	E18Reps   int
 	E18Chains []int
 	E18Branch int
-	// E19Reps is the timed-runs-per-cell sample for the hash-partitioned
-	// evaluation experiment; E19Grid/E19Chain size its transitive-closure
-	// kernels and E19Parts are the partition fan-outs swept.
-	E19Reps  int
-	E19Grid  int
-	E19Chain int
-	E19Parts []int
 }
 
 // Quick returns a suite sized to finish in a few seconds.
@@ -113,11 +98,6 @@ func Quick() Suite {
 		E12Clients:   []int{1, 8, 64},
 		E12Requests:  192,
 		E12Emp:       [2]int{10, 50},
-		E13Workers:   []int{1, 2, 4, 8},
-		E13Reps:      3,
-		E13Grid:      12,
-		E13Chain:     192,
-		E13Emp:       [2]int{20, 500},
 		E14Chain:     256,
 		E14Grid:      12,
 		E14Persons:   200,
@@ -135,10 +115,6 @@ func Quick() Suite {
 		E18Reps:      3,
 		E18Chains:    []int{200, 400},
 		E18Branch:    3,
-		E19Reps:      3,
-		E19Grid:      12,
-		E19Chain:     256,
-		E19Parts:     []int{1, 2, 4, 8},
 	}
 }
 
@@ -165,11 +141,6 @@ func Full() Suite {
 		E12Clients:   []int{1, 8, 64},
 		E12Requests:  960,
 		E12Emp:       [2]int{20, 200},
-		E13Workers:   []int{1, 2, 4, 8},
-		E13Reps:      7,
-		E13Grid:      20,
-		E13Chain:     512,
-		E13Emp:       [2]int{50, 2000},
 		E14Chain:     512,
 		E14Grid:      16,
 		E14Persons:   1000,
@@ -190,10 +161,6 @@ func Full() Suite {
 		E18Reps:     5,
 		E18Chains:   []int{400, 800, 1200},
 		E18Branch:   3,
-		E19Reps:     5,
-		E19Grid:     20,
-		E19Chain:    512,
-		E19Parts:    []int{1, 2, 4, 8},
 	}
 }
 
@@ -221,12 +188,10 @@ func Run(s Suite, only string) []*Table {
 	run("E9", func() *Table { return E9(s.E9Persons) })
 	run("E10", func() *Table { return E10(s.E10Sizes, s.E10Seeds) })
 	run("E11", func() *Table { return E11(s.E11Reps, s.E11Chain, s.E11Grid, s.E11Emp[0], s.E11Emp[1]) })
-	run("E13", func() *Table { return E13(s.E13Reps, s.E13Grid, s.E13Chain, s.E13Emp[0], s.E13Emp[1], s.E13Workers) })
 	run("E14", func() *Table { return E14(s.E14Chain, s.E14Grid, s.E14Persons, s.E14Emp, s.E14PGraph) })
 	run("E15", func() *Table { return E15(s.E15Reps, s.E15JoinSizes, s.E15Chains) })
 	run("E16", func() *Table { return E16(s.E16Sizes, s.E16CacheKBs, s.E16Reps) })
 	run("E17", func() *Table { return E17(s.E17Reps, s.E17Repeats, s.E17Rules) })
 	run("E18", func() *Table { return E18(s.E18Reps, s.E18Chains, s.E18Branch) })
-	run("E19", func() *Table { return E19(s.E19Reps, s.E19Grid, s.E19Chain, s.E19Parts) })
 	return out
 }

@@ -266,10 +266,10 @@ func compileStreamPlan(cc *compiledClause, seed []compiledArg) {
 	}
 }
 
-// clone gives a parallel worker its own copy of the clause: the static
-// plan (args, probe columns, positions) is shared, but every scratch
-// buffer — the only mutable state — is fresh, so two workers can walk
-// the same clause concurrently.
+// clone gives a plan-cache consumer its own copy of the clause: the
+// static plan (args, probe columns, positions) is shared, but every
+// scratch buffer — the only mutable state — is fresh, so two
+// evaluations can walk the same cached clause concurrently.
 func (cc *compiledClause) clone() *compiledClause {
 	c := *cc
 	c.lits = make([]compiledLit, len(cc.lits))

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 
 	"idlog/internal/analysis"
 	"idlog/internal/guard"
@@ -26,11 +25,9 @@ type Options struct {
 	MaxDerivations int
 	// Trace records, for every derived tuple, the clause and ground
 	// body facts of its first derivation, enabling Result.Explain.
-	// Costs memory proportional to the model. Trace forces sequential
-	// evaluation (provenance capture is inherently ordered), the
-	// analysis body order (planner off) and bypasses the plan cache, so
-	// the recorded first derivations do not depend on scheduling or
-	// cardinalities.
+	// Costs memory proportional to the model. Trace forces the analysis
+	// body order (planner off) and bypasses the plan cache, so the
+	// recorded first derivations do not depend on cardinalities.
 	Trace bool
 	// NoPlanner disables the cost-based join planner: clause bodies are
 	// evaluated in the analysis safety order and semi-naive deltas are
@@ -44,28 +41,6 @@ type Options struct {
 	// fully successful run publishes its plans; a hit skips cardinality
 	// estimation and stratum compilation. Trace runs bypass the cache.
 	PlanCache *PlanCache
-	// Parallelism bounds the worker pool of the semi-naive fixpoint: a
-	// fanned-out round is sharded across up to this many goroutines and
-	// merged through a deterministic ordered reducer, so answer sets and
-	// ID assignment are byte-identical to a sequential run. An explicit
-	// value above 1 fans every round out (see fansOut). Zero (the zero
-	// value) is the auto configuration: rounds run inline unless
-	// Partitions above 1 forces fan-out, which then uses
-	// DefaultParallelism() workers. 1, values < 0, and Naive or Trace
-	// runs evaluate sequentially.
-	Parallelism int
-	// Partitions is the hash-partition fan-out of partition-parallel
-	// evaluation: partitionable delta units (see plan.go choosePartition)
-	// of a fanned-out round radix-partition their delta and probe
-	// relation by the join key into this many partitions, each evaluated
-	// as one task with partition-local probe indexes. Zero follows an
-	// explicit Parallelism above 1, else resolves to 1; an explicit value
-	// above 1 forces every round to fan out. 1 disables partitioning (the
-	// differential twin); values above maxPartitions clamp. Answer sets,
-	// ID assignment, and fingerprints are byte-identical at every
-	// setting. Partitioning applies only with the planner on (delta-first
-	// variants); Naive and Trace runs ignore it.
-	Partitions int
 	// Guard governs the run (cancellation, deadlines, budgets, fault
 	// injection). Nil builds a fresh guard carrying only
 	// MaxDerivations. An Enumerate walk shares one guard across its
@@ -103,8 +78,7 @@ func (o Options) guard() *guard.Guard {
 // under evaluation.
 func Eval(info *analysis.Info, db *Database, opts Options) (res *Result, err error) {
 	g := opts.guard()
-	e := &engine{info: info, opts: opts, g: g, governed: g.Active(),
-		work: map[string]*relation.Relation{}, idrels: map[string]*relation.Relation{}}
+	e := newEngine(info, opts, g, map[string]*relation.Relation{}, map[string]*relation.Relation{})
 	if opts.Trace {
 		e.prov = map[string]provEntry{}
 	}
@@ -190,6 +164,20 @@ type engine struct {
 	// DerivationGrant, gused have run and await settlement.
 	gslack int
 	gused  int
+	// rn is the engine's one join runner, with derive as its hook.
+	// full, deltaSink and inserted are derive's state for the clause
+	// run in progress (see run).
+	rn        runner
+	full      *relation.Relation
+	deltaSink *relation.Relation
+	inserted  int
+}
+
+// newEngine builds an engine over the given work and ID relations.
+func newEngine(info *analysis.Info, opts Options, g *guard.Guard, work, idrels map[string]*relation.Relation) *engine {
+	e := &engine{info: info, opts: opts, g: g, governed: g.Active(), work: work, idrels: idrels}
+	e.rn = runner{resolve: e.resolve, stats: &e.stats, derive: e.derive}
+	return e
 }
 
 // partial packages the work done so far as an Incomplete result with
@@ -259,83 +247,6 @@ func (e *engine) evalStratum(si int, s *analysis.Stratum) error {
 	return e.fixpoint(s, sp)
 }
 
-// maxAutoParallelism caps the GOMAXPROCS-derived default worker count:
-// beyond it the single-threaded merge phase dominates and extra
-// workers only contend. Explicit Parallelism settings are not clamped.
-const maxAutoParallelism = 8
-
-// maxPartitions caps the partition fan-out: each partitioned unit pays
-// one task and one position list per partition and round, so an
-// absurd setting would drown the join work in bookkeeping.
-const maxPartitions = 64
-
-// DefaultParallelism is the worker count of fanned-out rounds when
-// Options.Parallelism is unset and Partitions above 1 forces fan-out:
-// runtime.GOMAXPROCS(0) clamped to maxAutoParallelism.
-func DefaultParallelism() int {
-	n := runtime.GOMAXPROCS(0)
-	if n > maxAutoParallelism {
-		n = maxAutoParallelism
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// EffectiveParallelism resolves the worker count of these Options'
-// fanned-out rounds (≥ 1): the explicit Parallelism, or
-// DefaultParallelism() when unset.
-func (o Options) EffectiveParallelism() int {
-	n := o.Parallelism
-	if n == 0 {
-		n = DefaultParallelism()
-	}
-	if n > 1 {
-		return n
-	}
-	return 1
-}
-
-// EffectivePartitions resolves the partition fan-out of these Options'
-// fanned-out rounds (≥ 1): unset follows an explicit Parallelism above
-// 1, so forced parallel runs partition by default while the auto
-// configuration, which runs inline, stays unpartitioned; explicit
-// values clamp to maxPartitions.
-func (o Options) EffectivePartitions() int {
-	n := o.Partitions
-	if n == 0 {
-		n = o.Parallelism
-	}
-	if n > maxPartitions {
-		n = maxPartitions
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// fansOut reports whether the fixpoint fans its rounds out to the
-// worker pool: only when an explicit Parallelism or Partitions above 1
-// asks for it. The auto configuration runs every round inline: on a
-// 2-core x86-64 host, forced 2-way fan-out cost 1.06x to 1.7x inline
-// evaluation per unit of work on TC over chains, grids and random
-// graphs and on 3-hop joins, at every round size measured (up to about
-// 10^6 scanned plus derived tuples), so no measured workload gains from
-// fanning out by default. Trace runs stay inline: provenance capture is
-// inherently ordered.
-func (e *engine) fansOut() bool {
-	o := e.opts
-	return !o.Trace && (o.Parallelism > 1 || o.Partitions > 1)
-}
-
-// workers resolves the effective parallelism (≥ 1).
-func (e *engine) workers() int { return e.opts.EffectiveParallelism() }
-
-// partitions resolves the effective partition fan-out (≥ 1).
-func (e *engine) partitions() int { return e.opts.EffectivePartitions() }
-
 // naiveFixpoint repeatedly evaluates every clause against the full
 // relations until no clause derives a new tuple.
 func (e *engine) naiveFixpoint(clauses []*compiledClause) error {
@@ -348,7 +259,7 @@ func (e *engine) naiveFixpoint(clauses []*compiledClause) error {
 		e.stats.Iterations++
 		inserted := 0
 		for _, cc := range clauses {
-			n, err := e.run(cc, -1, nil, nil, e.work[cc.headPred])
+			n, err := e.run(cc, -1, nil, nil)
 			if err != nil {
 				return err
 			}
@@ -366,31 +277,21 @@ func (e *engine) naiveFixpoint(clauses []*compiledClause) error {
 // body position, the delta position reading the previous round's new
 // tuples (through the planner's delta-first variant clause when there
 // is one, in place otherwise) — until a round derives nothing new.
+// Every unit inserts at once, so later units of a round already see the
+// round's new tuples; each of them also joins the next round's delta.
 //
-// Rounds run in one of two ways (see fansOut):
-//   - inline: every unit runs through the sequential derive hook, which
-//     inserts at once, so later units of the round already see the
-//     round's new tuples;
-//   - fanned out: the units become tasks on the worker pool
-//     (eval_parallel.go), which read the round-start relations, and the
-//     ordered merge inserts their derivations afterwards.
-//
-// Both are sound semi-naive steps over the same delta — every tuple a
-// round inserts joins the next round's delta — so they reach the same
-// fixpoint, and eval_parallel.go explains why the answers and ID
-// assignment are identical too.
+// Rounds run on the calling goroutine. Splitting a round across worker
+// goroutines was measured at 1.06x to 1.7x slower per unit of work on a
+// 2-core x86-64 host, at every round size up to about 10^6 tuples, so
+// concurrency lives between queries (idlogd), not inside one.
 func (e *engine) fixpoint(s *analysis.Stratum, sp *stratumPlan) error {
-	var fan *pool
-	if e.fansOut() {
-		fan = e.newPool(sp)
-	}
 	clauses := sp.all[:sp.nseed]
 	e.stats.Iterations++
 	// A non-recursive stratum reaches fixpoint in its seed round and
 	// skips the delta bookkeeping entirely. Deltas are append-only: the
-	// derive hook and the merge feed them exactly the tuples the full
-	// relation reported new, so they need no duplicate checking and skip
-	// the primary hash table entirely.
+	// derive hook feeds them exactly the tuples the full relation
+	// reported new, so they need no duplicate checking and skip the
+	// primary hash table entirely.
 	var delta map[string]*relation.Relation
 	if s.Recursive {
 		delta = map[string]*relation.Relation{}
@@ -398,15 +299,9 @@ func (e *engine) fixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 			delta[p] = relation.NewDelta(p, e.work[p].Arity(), 0)
 		}
 	}
-	if fan != nil {
-		if err := fan.seedRound(sp.nseed, delta); err != nil {
+	for _, cc := range clauses {
+		if _, err := e.run(cc, -1, nil, delta[cc.headPred]); err != nil {
 			return err
-		}
-	} else {
-		for _, cc := range clauses {
-			if _, err := e.run(cc, -1, nil, delta[cc.headPred], e.work[cc.headPred]); err != nil {
-				return err
-			}
 		}
 	}
 	if !s.Recursive {
@@ -438,24 +333,18 @@ func (e *engine) fixpoint(s *analysis.Stratum, sp *stratumPlan) error {
 			// for this round's.
 			next[p] = relation.NewDelta(p, e.work[p].Arity(), delta[p].Len())
 		}
-		if fan != nil {
-			if err := fan.deltaRound(sp, recursive, delta, next); err != nil {
-				return err
-			}
-		} else {
-			for _, ci := range recursive {
-				for _, u := range sp.units[ci] {
-					// Substitute the delta relation at exactly one recursive
-					// position; other positions read the full relations
-					// (which already include the delta).
-					cc := sp.all[u.idx]
-					d := delta[cc.lits[u.pos].pred]
-					if d == nil || d.Len() == 0 {
-						continue
-					}
-					if _, err := e.run(cc, u.pos, d, next[cc.headPred], e.work[cc.headPred]); err != nil {
-						return err
-					}
+		for _, ci := range recursive {
+			for _, u := range sp.units[ci] {
+				// Substitute the delta relation at exactly one recursive
+				// position; other positions read the full relations
+				// (which already include the delta).
+				cc := sp.all[u.idx]
+				d := delta[cc.lits[u.pos].pred]
+				if d == nil || d.Len() == 0 {
+					continue
+				}
+				if _, err := e.run(cc, u.pos, d, next[cc.headPred]); err != nil {
+					return err
 				}
 			}
 		}
@@ -481,56 +370,13 @@ func (e *engine) resolve(cl *compiledLit) (*relation.Relation, error) {
 
 // run evaluates cc against the current relations, with the literal at
 // deltaPos (-1 for none) reading deltaRel instead of its full relation —
-// one semi-naive pass. New head tuples are inserted into full; when
-// deltaSink is non-nil they are also added there. It returns the number
-// of new tuples.
-func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink, full *relation.Relation) (int, error) {
-	inserted := 0
+// one semi-naive pass. New head tuples are inserted into the head's
+// work relation; when deltaSink is non-nil they are also added there.
+// It returns the number of new tuples.
+func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink *relation.Relation) (int, error) {
 	e.curClause = cc.srcText
-	rn := runner{resolve: e.resolve, stats: &e.stats}
-	rn.derive = func(cc *compiledClause, env []value.Value, head value.Tuple) error {
-		if e.governed {
-			// Amortized governance: consult the guard only when the
-			// current grant is spent; in between, one decrement.
-			if e.gslack == 0 {
-				n, err := e.g.DerivationGrant(e.gused, cc.srcText)
-				e.gused = 0
-				if err != nil {
-					return err
-				}
-				e.gslack = n
-			}
-			e.gslack--
-			e.gused++
-		}
-		e.stats.Derivations++
-		// At the tuple limit, reject a genuinely new tuple before
-		// storing it so a tripped run holds exactly the budget.
-		// Duplicates fall through: they cost no memory and
-		// InsertShared ignores them.
-		if e.governed && e.g.AtTupleLimit() && !full.Contains(head) {
-			return e.g.TryTuples(1)
-		}
-		stored, err := full.InsertShared(head)
-		if err != nil {
-			return err
-		}
-		if stored != nil {
-			if e.governed {
-				if err := e.g.TryTuples(1); err != nil {
-					return err
-				}
-			}
-			inserted++
-			e.stats.Inserted++
-			e.recordProvenance(cc, env, stored)
-			if deltaSink != nil {
-				deltaSink.Append(stored)
-			}
-		}
-		return nil
-	}
-	err := rn.run(cc, deltaPos, deltaRel, 0, -1)
+	e.full, e.deltaSink, e.inserted = e.work[cc.headPred], deltaSink, 0
+	err := e.rn.run(cc, deltaPos, deltaRel)
 	if e.governed && e.gused > 0 {
 		// Settle the outstanding amortized batch so the guard is exact at
 		// clause boundaries. Without this, derivations run under the last
@@ -541,36 +387,71 @@ func (e *engine) run(cc *compiledClause, deltaPos int, deltaRel, deltaSink, full
 		e.g.Settle(e.gused)
 		e.gused = 0
 	}
-	return inserted, err
+	return e.inserted, err
 }
 
-// runner executes the join walk of one clause. There is exactly one per
-// goroutine: the sequential engine builds one per clause run, and every
-// parallel worker owns one bound to its private compiled-clause copies
-// (the compiled scratch buffers are single-threaded by design). The
-// walk is pure enumeration — each complete body instantiation hands the
-// candidate head tuple (scratch; clone to retain) to the derive hook,
-// which carries all mutable policy: governance, dedup, insertion. The
+// derive is the engine's leaf hook: it accounts one derivation against
+// the guard and inserts the head tuple into the relation of the clause
+// run in progress.
+func (e *engine) derive(cc *compiledClause, env []value.Value, head value.Tuple) error {
+	if e.governed {
+		// Amortized governance: consult the guard only when the
+		// current grant is spent; in between, one decrement.
+		if e.gslack == 0 {
+			n, err := e.g.DerivationGrant(e.gused, cc.srcText)
+			e.gused = 0
+			if err != nil {
+				return err
+			}
+			e.gslack = n
+		}
+		e.gslack--
+		e.gused++
+	}
+	e.stats.Derivations++
+	// At the tuple limit, reject a genuinely new tuple before storing
+	// it so a tripped run holds exactly the budget. Duplicates fall
+	// through: they cost no memory and InsertShared ignores them.
+	if e.governed && e.g.AtTupleLimit() && !e.full.Contains(head) {
+		return e.g.TryTuples(1)
+	}
+	stored, err := e.full.InsertShared(head)
+	if err != nil {
+		return err
+	}
+	if stored != nil {
+		if e.governed {
+			if err := e.g.TryTuples(1); err != nil {
+				return err
+			}
+		}
+		e.inserted++
+		e.stats.Inserted++
+		e.recordProvenance(cc, env, stored)
+		if e.deltaSink != nil {
+			e.deltaSink.Append(stored)
+		}
+	}
+	return nil
+}
+
+// runner executes the join walk of one clause. The walk is pure
+// enumeration — each complete body instantiation hands the candidate
+// head tuple (scratch; clone to retain) to the derive hook, which
+// carries all mutable policy: governance, dedup, insertion. The
 // resolve hook maps a compiled literal to the relation it reads, so the
 // same walk serves full evaluation (engine state) and incremental
-// maintenance (a view's relation maps).
+// maintenance (a view's relation maps). A runner walks one clause at a
+// time: the compiled scratch buffers are single-threaded by design.
 type runner struct {
 	resolve func(cl *compiledLit) (*relation.Relation, error)
 	stats   *Stats
 	derive  func(cc *compiledClause, env []value.Value, head value.Tuple) error
-	// partRel, when non-nil, substitutes for the relation the literal
-	// at depth partDepth reads — the partition-local probe relation of
-	// a partitioned task (eval_parallel.go). partDepth is never 0 in a
-	// partitioned task (depth 0 is the delta), so it cannot collide
-	// with the delta substitution.
-	partRel   *relation.Relation
-	partDepth int
 }
 
 // run walks cc with the delta relation substituted at deltaPos (-1 for
-// none). lo/hi restrict the depth-0 literal's enumeration range to
-// [lo, hi) — the parallel shard bounds; hi = -1 means unrestricted.
-func (rn *runner) run(cc *compiledClause, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
+// none).
+func (rn *runner) run(cc *compiledClause, deltaPos int, deltaRel *relation.Relation) error {
 	env := make([]value.Value, cc.nslots)
-	return rn.walk(cc, env, deltaPos, deltaRel, lo, hi)
+	return rn.walk(cc, env, deltaPos, deltaRel)
 }

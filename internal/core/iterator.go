@@ -87,9 +87,8 @@ func checksPass(checks []checkPair, t []value.Value) bool {
 }
 
 // openIter positions the cursor for the literal at depth under the
-// current environment. lo/hi carry the parallel shard bounds for the
-// depth-0 literal (hi = -1 means unrestricted); deeper opens pass 0,-1.
-func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []value.Value, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
+// current environment.
+func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []value.Value, deltaPos int, deltaRel *relation.Relation) error {
 	cl := &cc.lits[depth]
 	it.cl = cl
 	if cl.builtin != nil {
@@ -126,8 +125,6 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	}
 	if depth == deltaPos {
 		rel = deltaRel
-	} else if rn.partRel != nil && depth == rn.partDepth {
-		rel = rn.partRel
 	}
 	if cl.neg {
 		// Negated literals are fully bound (safety), so probeArgs covers
@@ -149,20 +146,18 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	}
 	it.rel = rel
 	if len(cl.probeCols) == 0 {
-		if hi < 0 {
-			lo, hi = 0, rel.Len()
-		}
-		rn.stats.TuplesScanned += hi - lo
+		hi := rel.Len()
+		rn.stats.TuplesScanned += hi
 		it.kind = iterScan
 		it.tIdx = 0
 		if rel.SourceLen() == 0 {
-			// In memory: read the [lo, hi) snapshot of the tuple slice in
+			// In memory: read the [0, hi) snapshot of the tuple slice in
 			// place. Later inserts append past hi and never touch it.
-			it.tuples = rel.Tuples()[lo:hi:hi]
+			it.tuples = rel.Tuples()[:hi:hi]
 			it.pos, it.hi = hi, hi
 		} else {
 			it.tuples = it.buf[:0]
-			it.pos, it.hi = lo, hi
+			it.pos, it.hi = 0, hi
 		}
 		return nil
 	}
@@ -180,9 +175,6 @@ func (rn *runner) openIter(cc *compiledClause, it *litIter, depth int, env []val
 	// iteration stays well-defined.
 	positions := rel.Probe(cl.probeCols, key)
 	n := len(positions)
-	if hi >= 0 {
-		positions, n = positions[lo:hi], hi-lo
-	}
 	rn.stats.TuplesScanned += n
 	it.kind = iterProbe
 	it.positions, it.idx, it.n = positions, 0, n
@@ -268,7 +260,7 @@ func (it *litIter) refill() {
 // slots from a candidate tuple) and may be reused across walks without
 // clearing: compilation guarantees every slot read was bound earlier in
 // the same walk or by the seed.
-func (rn *runner) walk(cc *compiledClause, env []value.Value, deltaPos int, deltaRel *relation.Relation, lo, hi int) error {
+func (rn *runner) walk(cc *compiledClause, env []value.Value, deltaPos int, deltaRel *relation.Relation) error {
 	last := len(cc.lits) - 1
 	if last < 0 {
 		return rn.deriveHead(cc, env)
@@ -277,7 +269,7 @@ func (rn *runner) walk(cc *compiledClause, env []value.Value, deltaPos int, delt
 		cc.iters = make([]litIter, len(cc.lits))
 	}
 	iters := cc.iters
-	if err := rn.openIter(cc, &iters[0], 0, env, deltaPos, deltaRel, lo, hi); err != nil {
+	if err := rn.openIter(cc, &iters[0], 0, env, deltaPos, deltaRel); err != nil {
 		return err
 	}
 	depth := 0
@@ -293,7 +285,7 @@ func (rn *runner) walk(cc *compiledClause, env []value.Value, deltaPos int, delt
 			continue
 		}
 		depth++
-		if err := rn.openIter(cc, &iters[depth], depth, env, deltaPos, deltaRel, 0, -1); err != nil {
+		if err := rn.openIter(cc, &iters[depth], depth, env, deltaPos, deltaRel); err != nil {
 			return err
 		}
 	}

@@ -139,8 +139,6 @@ func TestPlannerOnOffAgreeOnRandomPrograms(t *testing.T) {
 			variants := []Options{
 				{Oracle: oracle},
 				{Oracle: oracle, NoPlanner: true},
-				{Oracle: oracle, Parallelism: 4},
-				{Oracle: oracle, NoPlanner: true, Parallelism: 4},
 			}
 			var ref map[string]string
 			for vi, opts := range variants {
@@ -236,7 +234,7 @@ func TestPlanCacheMastersCarryNoScratch(t *testing.T) {
 	db := chainDB(64)
 	pc := NewPlanCache(0)
 	for run := 0; run < 2; run++ {
-		res, err := Eval(minfo, db, Options{Parallelism: 1, PlanCache: pc})
+		res, err := Eval(minfo, db, Options{PlanCache: pc})
 		if err != nil {
 			t.Fatal(err)
 		}

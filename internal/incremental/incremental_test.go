@@ -336,9 +336,7 @@ func TestIncrementalEquivalencePaperExamples(t *testing.T) {
 
 // TestIncrementalPropertyRandom is the fuzz/property test: random
 // insert/delete interleavings over stratified programs, the view must
-// stay tuple-for-tuple identical to recompute. Recomputes run with
-// WithParallelism-style options so the parallel evaluator is part of
-// the equivalence obligation (run under -race).
+// stay tuple-for-tuple identical to recompute.
 func TestIncrementalPropertyRandom(t *testing.T) {
 	programs := []struct {
 		name string
@@ -375,35 +373,33 @@ func TestIncrementalPropertyRandom(t *testing.T) {
 			}
 			db.Freeze()
 
-			for _, par := range []int{0, 4} {
-				opts := core.Options{Parallelism: par}
-				v, err := NewView(info, db, opts)
-				if err != nil {
-					t.Fatal(err)
+			opts := core.Options{}
+			v, err := NewView(info, db, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for step := 0; step < 40; step++ {
+				var ins, del []core.Fact
+				for n := rng.Intn(3) + 1; n > 0; n-- {
+					tup := value.Tuple{value.Int(int64(rng.Intn(nodes))), value.Int(int64(rng.Intn(nodes)))}
+					if rng.Intn(2) == 0 {
+						ins = append(ins, core.Fact{Pred: "e", Tuple: tup})
+					} else {
+						del = append(del, core.Fact{Pred: "e", Tuple: tup})
+					}
 				}
-				for step := 0; step < 40; step++ {
-					var ins, del []core.Fact
-					for n := rng.Intn(3) + 1; n > 0; n-- {
-						tup := value.Tuple{value.Int(int64(rng.Intn(nodes))), value.Int(int64(rng.Intn(nodes)))}
-						if rng.Intn(2) == 0 {
-							ins = append(ins, core.Fact{Pred: "e", Tuple: tup})
-						} else {
-							del = append(del, core.Fact{Pred: "e", Tuple: tup})
-						}
+				if info.EDB["node"] && rng.Intn(4) == 0 {
+					tup := value.Tuple{value.Int(int64(rng.Intn(nodes * 2)))}
+					if rng.Intn(2) == 0 {
+						ins = append(ins, core.Fact{Pred: "node", Tuple: tup})
+					} else {
+						del = append(del, core.Fact{Pred: "node", Tuple: tup})
 					}
-					if info.EDB["node"] && rng.Intn(4) == 0 {
-						tup := value.Tuple{value.Int(int64(rng.Intn(nodes * 2)))}
-						if rng.Intn(2) == 0 {
-							ins = append(ins, core.Fact{Pred: "node", Tuple: tup})
-						} else {
-							del = append(del, core.Fact{Pred: "node", Tuple: tup})
-						}
-					}
-					if _, _, err := v.ApplyFacts(ins, del, nil); err != nil {
-						t.Fatalf("step %d (par=%d): %v", step, par, err)
-					}
-					checkEquiv(t, fmt.Sprintf("%s step %d par=%d", pr.name, step, par), v, opts)
 				}
+				if _, _, err := v.ApplyFacts(ins, del, nil); err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				checkEquiv(t, fmt.Sprintf("%s step %d", pr.name, step), v, opts)
 			}
 		})
 	}

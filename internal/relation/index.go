@@ -7,16 +7,18 @@ import (
 )
 
 // indexedTuples counts tuples entered into secondary indexes during
-// one-shot index builds, process-wide. Partition-pruned evaluation
-// shows up here: a partition whose delta part stays empty never probes
-// and therefore never pays its index build, so the counter measures
-// the index-volume reduction the E19 benchmark reports on single-core
-// hardware (where wall-clock parallel speedup is unobservable).
+// one-shot index builds, process-wide.
 var indexedTuples atomic.Uint64
 
 // IndexedTuplesTotal reports how many tuples have been entered into
 // secondary indexes by index builds in this process.
 func IndexedTuplesTotal() uint64 { return indexedTuples.Load() }
+
+// PartitionedTuplesTotal reports 0: relations are no longer
+// hash-partitioned.
+//
+// Deprecated: kept for callers of the removed partitioned evaluation.
+func PartitionedTuplesTotal() uint64 { return 0 }
 
 // secondary is a hash index over a subset of columns: it maps every
 // distinct projection onto cols (a key) to the positions of the tuples

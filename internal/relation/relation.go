@@ -32,10 +32,7 @@ import (
 // atomic load, a miss builds under buildMu and publishes a fresh list,
 // and every insert maintains every published index. Unfrozen relations
 // therefore also tolerate concurrent *read-only* phases (probes from
-// many goroutines while no insert is running), which the parallel
-// evaluator relies on: its rounds alternate a barriered read phase
-// (workers probe) with a single-threaded merge phase (coordinator
-// inserts), with the phase barrier providing the happens-before edge.
+// many goroutines while no insert is running).
 //
 // Tuple storage is position-addressed and split in two: positions
 // [0, nsrc) read from an immutable TupleSource (disk segments), and

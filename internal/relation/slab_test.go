@@ -170,7 +170,7 @@ type snapshot struct {
 }
 
 // FuzzIndex drives random sequences of Insert, InsertShared, Remove,
-// Append, Partitioned.Refresh, Probe, Groups and Freeze, decoded from
+// Append, Probe, Groups and Freeze, decoded from
 // the input bytes, and checks every probe and grouping against a linear
 // scan and every index against its layout invariants. Values come from
 // a domain of six, so keys repeat, lists empty out and refill, runs
@@ -205,7 +205,6 @@ func fuzzIndexOps(t *testing.T, data []byte) {
 	r := New("r", 2)
 	d := NewDelta("d", 2, 0)
 	inD := map[[2]int64]bool{}
-	part := NewPartitioned(d, []int{0}, 3)
 	var snaps []snapshot // on r, dropped by Remove
 	var dsnaps []snapshot
 	buf := make(value.Tuple, 2)
@@ -218,7 +217,7 @@ func fuzzIndexOps(t *testing.T, data []byte) {
 		return b
 	}
 	for i := 0; i < len(data); {
-		op := next(&i) % 10
+		op := next(&i) % 8
 		a, b := int64(next(&i)%6), int64(next(&i)%6)
 		tup := value.Tuple{value.Int(a), value.Int(b)}
 		cols := colSets[int(a+b)%len(colSets)]
@@ -247,11 +246,6 @@ func fuzzIndexOps(t *testing.T, data []byte) {
 				inD[k] = true
 				d.Append(tup)
 			}
-		case 4:
-			part.Refresh()
-			for k := 0; k < part.N(); k++ {
-				checkPublished(t, part.Part(k))
-			}
 		case 5, 6:
 			rel, ss := r, &snaps
 			if op == 6 {
@@ -273,16 +267,7 @@ func fuzzIndexOps(t *testing.T, data []byte) {
 			if err := sameGroups(r.Groups(gcols), oldGroups(r, gcols)); err != nil {
 				t.Fatalf("Groups(%v): %v", gcols, err)
 			}
-		case 8:
-			for k := 0; k < part.N(); k++ {
-				p := part.Part(k)
-				key := tup.Project([]int{1})
-				got := p.Probe([]int{1}, key)
-				if want := scanProbe(p, []int{1}, key); !slices.Equal(sortedPositions(got), want) {
-					t.Fatalf("partition %d probe %v: %v, scan %v", k, key, got, want)
-				}
-			}
-		case 9:
+		case 4:
 			if a == 0 && b == 0 {
 				r.Freeze()
 			}

@@ -58,19 +58,6 @@ type budgetFields struct {
 	MaxTuples int `json:"max_tuples,omitempty"`
 	// MaxDerivations caps body instantiations (0 = server default).
 	MaxDerivations int `json:"max_derivations,omitempty"`
-	// Parallelism asks for the fixpoint to run on this many worker
-	// goroutines (answers stay byte-identical to sequential runs).
-	// 0 applies the engine's auto configuration (every round inline);
-	// 1 forces sequential; values above 1 fan every round out; values
-	// above the server's max_parallelism are clamped.
-	Parallelism int `json:"parallelism,omitempty"`
-	// Partitions asks for recursive delta passes to hash-partition
-	// their joins this many ways (answers stay byte-identical at any
-	// setting). 0 follows an explicit parallelism (with none, the auto
-	// configuration runs unpartitioned); 1 disables partitioning; values
-	// above 1 fan every round out; values above the server's
-	// max_partitions are clamped.
-	Partitions int `json:"partitions,omitempty"`
 	// Partial asks for the partial result alongside a budget-tripped
 	// error response.
 	Partial bool `json:"partial,omitempty"`
@@ -137,25 +124,15 @@ type statsJSON struct {
 	TuplesScanned int `json:"tuples_scanned"`
 	Iterations    int `json:"iterations"`
 	IDRelations   int `json:"id_relations"`
-	// Partitions is the largest hash-partition fan-out any delta pass
-	// used (0 = no partitioned pass ran); PartitionedRounds counts the
-	// fixpoint rounds that partitioned at least one pass, and
-	// PartitionSkew the worst largest-partition-over-mean ratio.
-	Partitions        int     `json:"partitions,omitempty"`
-	PartitionedRounds int     `json:"partitioned_rounds,omitempty"`
-	PartitionSkew     float64 `json:"partition_skew,omitempty"`
 }
 
 func statsOf(s idlog.Stats) *statsJSON {
 	return &statsJSON{
-		Derivations:       s.Derivations,
-		Inserted:          s.Inserted,
-		TuplesScanned:     s.TuplesScanned,
-		Iterations:        s.Iterations,
-		IDRelations:       s.IDRelations,
-		Partitions:        s.Partitions,
-		PartitionedRounds: s.PartitionedRounds,
-		PartitionSkew:     s.PartitionSkew,
+		Derivations:   s.Derivations,
+		Inserted:      s.Inserted,
+		TuplesScanned: s.TuplesScanned,
+		Iterations:    s.Iterations,
+		IDRelations:   s.IDRelations,
 	}
 }
 
@@ -373,12 +350,10 @@ type budget struct {
 	timeout        time.Duration
 	maxTuples      int
 	maxDerivations int
-	parallelism    int
-	partitions     int
 }
 
 // parseBudget resolves the request's budget fields against the server
-// defaults, clamping the timeout and the parallelism.
+// defaults, clamping the timeout.
 func (s *Server) parseBudget(b budgetFields) (budget, *apiError) {
 	out := budget{timeout: s.cfg.DefaultTimeout}
 	if b.Timeout != "" {
@@ -405,28 +380,6 @@ func (s *Server) parseBudget(b budgetFields) (budget, *apiError) {
 	if out.maxDerivations < 0 {
 		return budget{}, apiErrorf(http.StatusBadRequest, "invalid_argument", "bad max_derivations %d", b.MaxDerivations)
 	}
-	if b.Parallelism < 0 {
-		return budget{}, apiErrorf(http.StatusBadRequest, "invalid_argument", "bad parallelism %d", b.Parallelism)
-	}
-	if b.Partitions < 0 {
-		return budget{}, apiErrorf(http.StatusBadRequest, "invalid_argument", "bad partitions %d", b.Partitions)
-	}
-	// A request that sets neither knob stays unset: the engine's auto
-	// configuration runs every round inline, which fits under any clamp.
-	// Explicit values resolve to concrete clamped values here, so
-	// -max-parallelism / -max-partitions stay authoritative: unset
-	// partitions follow an explicit parallelism, and an explicit
-	// partition fan-out gets the clamped auto worker count instead of the
-	// engine's unclamped default.
-	out.parallelism = min(b.Parallelism, s.cfg.MaxParallelism)
-	out.partitions = b.Partitions
-	if out.partitions == 0 {
-		out.partitions = out.parallelism
-	}
-	out.partitions = min(out.partitions, s.cfg.MaxPartitions)
-	if out.partitions > 1 && out.parallelism == 0 {
-		out.parallelism = min(idlog.DefaultParallelism(), s.cfg.MaxParallelism)
-	}
 	return out, nil
 }
 
@@ -441,14 +394,6 @@ func (b budget) options() []idlog.Option {
 	}
 	if b.maxDerivations > 0 {
 		opts = append(opts, idlog.WithMaxDerivations(b.maxDerivations))
-	}
-	// Emitted when resolved (1 = sequential / unpartitioned); zero
-	// leaves the engine's auto configuration, which runs inline.
-	if b.parallelism > 0 {
-		opts = append(opts, idlog.WithParallelism(b.parallelism))
-	}
-	if b.partitions > 0 {
-		opts = append(opts, idlog.WithPartitions(b.partitions))
 	}
 	return opts
 }

@@ -39,21 +39,6 @@ type Config struct {
 	// set no budget (default 0 = unlimited).
 	DefaultMaxTuples      int
 	DefaultMaxDerivations int
-	// MaxParallelism clamps per-request parallelism (the wire field
-	// "parallelism"): requests may fan each fixpoint round out over up
-	// to this many worker goroutines (default: GOMAXPROCS). Requests
-	// that set neither parallelism nor partitions run the engine's auto
-	// configuration, which evaluates every round inline and so never
-	// exceeds any clamp; a clamp therefore never turns such a request
-	// into a fanned-out one. Requests that set only partitions above 1
-	// fan out over GOMAXPROCS workers (clamped to 8), then this clamp.
-	// Answers do not depend on the value; only latency does.
-	MaxParallelism int
-	// MaxPartitions clamps per-request hash-partition fan-out (the wire
-	// field "partitions"; default 64, the engine ceiling). Requests
-	// that set no fan-out follow their explicit parallelism, if any.
-	// Answers do not depend on the value.
-	MaxPartitions int
 	// SessionTTL evicts sessions idle longer than this (default 15m).
 	SessionTTL time.Duration
 	// MaxPrograms / MaxSessions bound the registries (default 256 each).
@@ -118,12 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTimeout <= 0 {
 		c.MaxTimeout = 60 * time.Second
-	}
-	if c.MaxParallelism <= 0 {
-		c.MaxParallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.MaxPartitions <= 0 {
-		c.MaxPartitions = 64
 	}
 	if c.SessionTTL <= 0 {
 		c.SessionTTL = 15 * time.Minute
@@ -572,9 +551,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	opts := bud.options()
-	if bud.parallelism > 1 {
-		s.metrics.parallelQueries.Add(1)
-	}
 	if req.Seed != nil {
 		opts = append(opts, idlog.WithSeed(*req.Seed))
 	}
@@ -600,9 +576,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if qr != nil && qr.UsedMagic {
 			s.metrics.magicQueries.Add(1)
 		}
-		if qr != nil {
-			s.metrics.observePartitions(qr.Stats)
-		}
 		resp := goalResponse(qr, time.Since(start))
 		if err != nil {
 			ae := fromEngineError(err)
@@ -620,7 +593,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	res, err := prog.EvalContext(r.Context(), db, opts...)
 	if res != nil {
 		s.metrics.observeEval(res.Stats.Derivations, res.Stats.Inserted, res.Stats.TuplesScanned)
-		s.metrics.observePartitions(res.Stats)
 	}
 	if err != nil {
 		ae := fromEngineError(err)
@@ -704,10 +676,6 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	if h := s.testHold.Load(); h != nil {
 		(*h)()
 	}
-	if bud.parallelism > 1 {
-		s.metrics.parallelQueries.Add(1)
-	}
-
 	spec := idlog.SampleSpec{Relation: req.Relation, Arity: req.Arity, GroupBy: req.GroupBy, K: req.K}
 	start := time.Now()
 	rel, err := idlog.SampleContext(r.Context(), spec, db, req.Seed, bud.options()...)
@@ -875,8 +843,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"idlogd_queued_requests":     float64(s.queued.Load()),
 		"idlogd_sessions_active":     float64(s.sessions.len()),
 		"idlogd_worker_slots":        float64(s.cfg.MaxConcurrent),
-		"idlogd_max_parallelism":     float64(s.cfg.MaxParallelism),
-		"idlogd_max_partitions":      float64(s.cfg.MaxPartitions),
 		"idlogd_replication_streams": float64(s.metrics.replStreams.Load()),
 	}
 	if s.walDegraded.Load() {

@@ -136,6 +136,31 @@ func TestQueryValidation(t *testing.T) {
 	}
 }
 
+// TestParallelismWireField: "parallelism" is not a request field, so
+// the strict decoder rejects it rather than silently ignoring it.
+func TestParallelismWireField(t *testing.T) { wantUnknownQueryField(t, "parallelism") }
+
+// TestPartitionsWireField: likewise for "partitions".
+func TestPartitionsWireField(t *testing.T) { wantUnknownQueryField(t, "partitions") }
+
+// wantUnknownQueryField posts a valid /v1/query body, then the same
+// body carrying field, and expects 200 and then 400 invalid_argument
+// naming the field.
+func wantUnknownQueryField(t *testing.T, field string) {
+	t.Helper()
+	_, ts := newTestServer(t, Config{})
+	body := map[string]any{"source": tcProgram, "facts": tcFacts, "predicates": []string{"tc"}}
+	if code := post(t, ts.URL+"/v1/query", body, nil); code != 200 {
+		t.Fatalf("valid query: status %d", code)
+	}
+	body[field] = 2
+	var eb errorBody
+	code := post(t, ts.URL+"/v1/query", body, &eb)
+	if code != 400 || eb.Error.Code != "invalid_argument" || !strings.Contains(eb.Error.Message, field) {
+		t.Fatalf("query with %q: status %d %+v, want 400 invalid_argument", field, code, eb)
+	}
+}
+
 // TestBudgetTrippedResponses checks the guard-budget → HTTP mapping
 // and optional partial results.
 func TestBudgetTrippedResponses(t *testing.T) {

@@ -17,6 +17,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -80,22 +81,29 @@ func (s *StreamReader) Next() (Frame, error) {
 	}
 	switch typ {
 	case FrameHeartbeat, FrameEOS, FrameResync:
-		lsn, err := binary.ReadUvarint(s.br)
+		lsn, err := s.uvarint()
 		if err != nil {
-			return Frame{}, fmt.Errorf("%w: truncated control frame: %v", ErrTornStream, err)
+			return Frame{}, fmt.Errorf("%w: bad control frame: %v", ErrTornStream, err)
 		}
 		return Frame{Type: typ, LSN: lsn}, nil
 	case FrameEntry:
-		plen, err := binary.ReadUvarint(s.br)
+		plen, err := s.uvarint()
 		if err != nil {
-			return Frame{}, fmt.Errorf("%w: truncated entry length: %v", ErrTornStream, err)
+			return Frame{}, fmt.Errorf("%w: bad entry length: %v", ErrTornStream, err)
 		}
 		if plen > maxPayload {
 			return Frame{}, fmt.Errorf("%w: implausible entry length %d", ErrTornStream, plen)
 		}
-		buf := make([]byte, int(plen)+4)
-		if _, err := io.ReadFull(s.br, buf); err != nil {
+		// The buffer grows with the bytes actually received, so a frame
+		// that claims a large length and then dies costs what it sent.
+		var body bytes.Buffer
+		body.Grow(int(min(plen+4, 64<<10)))
+		if _, err := body.ReadFrom(io.LimitReader(s.br, int64(plen)+4)); err != nil {
 			return Frame{}, fmt.Errorf("%w: truncated entry: %v", ErrTornStream, err)
+		}
+		buf := body.Bytes()
+		if len(buf) != int(plen)+4 {
+			return Frame{}, fmt.Errorf("%w: truncated entry: %d of %d bytes", ErrTornStream, len(buf), plen+4)
 		}
 		payload := buf[:plen]
 		want := binary.BigEndian.Uint32(buf[plen:])
@@ -110,4 +118,24 @@ func (s *StreamReader) Next() (Frame, error) {
 	default:
 		return Frame{}, fmt.Errorf("%w: unknown frame type %q", ErrTornStream, typ)
 	}
+}
+
+// uvarint reads a minimally encoded uvarint (see uvarintLen).
+func (s *StreamReader) uvarint() (uint64, error) {
+	var buf [binary.MaxVarintLen64]byte
+	for i := range buf {
+		b, err := s.br.ReadByte()
+		if err != nil {
+			return 0, err
+		}
+		buf[i] = b
+		if b < 0x80 {
+			v, n := binary.Uvarint(buf[:i+1])
+			if n <= 0 || n != uvarintLen(v) {
+				return 0, errors.New("overflowing or non-minimal varint")
+			}
+			return v, nil
+		}
+	}
+	return 0, errors.New("overflowing varint")
 }

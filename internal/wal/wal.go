@@ -64,11 +64,14 @@ const (
 	magicV2 = "IDLOGWAL2"
 )
 
-// maxStringLen and maxCount bound decoded lengths as corruption guards.
+// maxStringLen and maxPayload bound decoded lengths as corruption
+// guards. Decoded counts need no bound of their own: a fact or a value
+// takes at least minItemBytes bytes, so a count is checked against the
+// bytes left in its payload before anything is allocated for it.
 const (
 	maxStringLen = 1 << 20
-	maxCount     = 1 << 24
 	maxPayload   = 1 << 28
+	minItemBytes = 2
 )
 
 // ErrCorruptWAL reports a log that is not a WAL at all, or whose body
@@ -230,7 +233,7 @@ func scanEntries(data []byte, off, version int, prevLSN uint64) (recs []Record, 
 // torn or damaged (the caller truncates there).
 func decodeEntry(data []byte, off, version int) (Record, int, bool) {
 	plen, n := binary.Uvarint(data[off:])
-	if n <= 0 || plen > maxPayload {
+	if n <= 0 || n != uvarintLen(plen) || plen > maxPayload {
 		return Record{}, 0, false
 	}
 	start := off + n
@@ -258,10 +261,21 @@ type payloadReader struct {
 	off int
 }
 
+// uvarintLen is the length of v's minimal uvarint encoding. Decoders
+// accept only minimal encodings, so every accepted record re-encodes to
+// the bytes it was read from.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
 func (p *payloadReader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(p.b[p.off:])
-	if n <= 0 {
-		return 0, corruptf("truncated varint")
+	if n <= 0 || n != uvarintLen(v) {
+		return 0, corruptf("truncated or non-minimal varint")
 	}
 	p.off += n
 	return v, nil
@@ -269,11 +283,25 @@ func (p *payloadReader) uvarint() (uint64, error) {
 
 func (p *payloadReader) varint() (int64, error) {
 	v, n := binary.Varint(p.b[p.off:])
-	if n <= 0 {
-		return 0, corruptf("truncated varint")
+	if n <= 0 || n != uvarintLen(uint64(v<<1)^uint64(v>>63)) {
+		return 0, corruptf("truncated or non-minimal varint")
 	}
 	p.off += n
 	return v, nil
+}
+
+// count reads the number of items that follow, each at least
+// minItemBytes long, rejecting a count the rest of the payload cannot
+// hold.
+func (p *payloadReader) count(what string) (uint64, error) {
+	n, err := p.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(p.b)-p.off)/minItemBytes {
+		return 0, corruptf("implausible %s %d for %d payload bytes left", what, n, len(p.b)-p.off)
+	}
+	return n, nil
 }
 
 func (p *payloadReader) str() (string, error) {
@@ -299,12 +327,9 @@ func (p *payloadReader) byte() (byte, error) {
 }
 
 func (p *payloadReader) facts() ([]core.Fact, error) {
-	n, err := p.uvarint()
+	n, err := p.count("fact count")
 	if err != nil {
 		return nil, err
-	}
-	if n > maxCount {
-		return nil, corruptf("implausible fact count %d", n)
 	}
 	if n == 0 {
 		return nil, nil
@@ -315,12 +340,9 @@ func (p *payloadReader) facts() ([]core.Fact, error) {
 		if err != nil {
 			return nil, err
 		}
-		arity, err := p.uvarint()
+		arity, err := p.count("arity")
 		if err != nil {
 			return nil, err
-		}
-		if arity > 1<<16 {
-			return nil, corruptf("implausible arity %d", arity)
 		}
 		t := make(value.Tuple, arity)
 		for c := uint64(0); c < arity; c++ {
@@ -418,15 +440,20 @@ func appendHeader(b []byte, baseLSN uint64) []byte {
 // entries, so a follower decodes the stream with the code that decodes
 // its own log.
 func EncodeEntry(rec Record) []byte {
-	payload := appendUvarint(nil, rec.LSN)
-	payload = appendString(payload, rec.Session)
-	payload = appendFacts(payload, rec.Inserts)
-	payload = appendFacts(payload, rec.Deletes)
+	payload := encodePayload(rec)
 	entry := appendUvarint(nil, uint64(len(payload)))
 	entry = append(entry, payload...)
 	var sum [4]byte
 	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(payload))
 	return append(entry, sum[:]...)
+}
+
+// encodePayload renders rec as a v2 entry payload.
+func encodePayload(rec Record) []byte {
+	payload := appendUvarint(nil, rec.LSN)
+	payload = appendString(payload, rec.Session)
+	payload = appendFacts(payload, rec.Inserts)
+	return appendFacts(payload, rec.Deletes)
 }
 
 // InjectFault arms guard-driven fault injection (torn appends) on the

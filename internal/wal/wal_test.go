@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -514,4 +515,116 @@ func TestStreamTornAtEveryByte(t *testing.T) {
 			n++
 		}
 	}
+}
+
+// allocBytes reports the heap bytes one call of f allocates, averaged
+// over a few calls.
+func allocBytes(f func()) uint64 {
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestDecodeBoundsClaimedSizes: a payload or frame that claims far more
+// facts, columns or bytes than it carries fails with the typed
+// corruption error and allocates for what it carries, not for what it
+// claims.
+func TestDecodeBoundsClaimedSizes(t *testing.T) {
+	const limit = 1 << 20
+	payloads := map[string][]byte{
+		// LSN 1, session "", 2^20 inserts and nothing after: 5 bytes.
+		"fact count": appendUvarint([]byte{1, 0}, 1<<20),
+		// LSN 1, session "", one insert e/65536 without values.
+		"arity": appendUvarint(appendString([]byte{1, 0, 1}, "e"), 1<<16),
+	}
+	for name, payload := range payloads {
+		var err error
+		if n := allocBytes(func() { _, err = decodePayload(payload, 2) }); n >= limit {
+			t.Errorf("%s: decodePayload allocated %d bytes", name, n)
+		}
+		if !errors.Is(err, ErrCorruptWAL) {
+			t.Errorf("%s: decodePayload err = %v, want ErrCorruptWAL", name, err)
+		}
+		// The same payload behind a valid checksum in a stream frame.
+		frame := appendUvarint([]byte{FrameEntry}, uint64(len(payload)))
+		frame = binary.BigEndian.AppendUint32(append(frame, payload...), crc32.ChecksumIEEE(payload))
+		if n := allocBytes(func() { _, err = NewStreamReader(bytes.NewReader(frame)).Next() }); n >= limit {
+			t.Errorf("%s: stream frame allocated %d bytes", name, n)
+		}
+		if !errors.Is(err, ErrTornStream) {
+			t.Errorf("%s: stream frame err = %v, want ErrTornStream", name, err)
+		}
+	}
+	// A 6-byte entry frame that claims maxPayload bytes, then ends.
+	frame := appendUvarint([]byte{FrameEntry}, maxPayload)
+	var err error
+	if n := allocBytes(func() { _, err = NewStreamReader(bytes.NewReader(frame)).Next() }); n >= limit {
+		t.Errorf("truncated frame allocated %d bytes", n)
+	}
+	if !errors.Is(err, ErrTornStream) {
+		t.Errorf("truncated frame err = %v, want ErrTornStream", err)
+	}
+}
+
+// FuzzWALDecode feeds arbitrary bytes to the payload, entry and stream
+// decoders. None may panic, and whatever they accept must re-encode to
+// exactly the bytes it was decoded from. The seeds, log entries and
+// stream frames of real records, must also decode back to those
+// records.
+func FuzzWALDecode(f *testing.F) {
+	recs := withLSNs(testRecords(), 1)
+	recs = append(recs, Record{LSN: 1 << 40, Session: "big", Inserts: []core.Fact{
+		{Pred: "n", Tuple: value.Tuple{value.Int(-1 << 62), value.Int(1<<63 - 1), value.Str("ü")}},
+	}})
+	stream := AppendControlFrame(nil, FrameHeartbeat, 0)
+	for _, rec := range recs {
+		entry := EncodeEntry(rec)
+		got, next, ok := decodeEntry(entry, 0, 2)
+		if !ok || next != len(entry) || !reflect.DeepEqual(got, rec) {
+			f.Fatalf("seed %+v does not round-trip: %+v", rec, got)
+		}
+		f.Add(entry)
+		f.Add(AppendEntryFrame(nil, rec))
+		stream = AppendEntryFrame(stream, rec)
+	}
+	f.Add(AppendControlFrame(stream, FrameEOS, recs[len(recs)-1].LSN))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if rec, err := decodePayload(data, 2); err == nil {
+			if got := encodePayload(rec); !bytes.Equal(got, data) {
+				t.Fatalf("payload %x re-encodes to %x", data, got)
+			}
+		} else if !errors.Is(err, ErrCorruptWAL) {
+			t.Fatalf("payload error %v is not ErrCorruptWAL", err)
+		}
+		if rec, next, ok := decodeEntry(data, 0, 2); ok {
+			if got := EncodeEntry(rec); !bytes.Equal(got, data[:next]) {
+				t.Fatalf("entry %x re-encodes to %x", data[:next], got)
+			}
+		}
+		sr := NewStreamReader(bytes.NewReader(data))
+		var re []byte
+		for {
+			fr, err := sr.Next()
+			if err != nil {
+				if err != io.EOF && !errors.Is(err, ErrTornStream) {
+					t.Fatalf("stream error %v is neither io.EOF nor ErrTornStream", err)
+				}
+				break
+			}
+			if fr.Type == FrameEntry {
+				re = AppendEntryFrame(re, fr.Rec)
+			} else {
+				re = AppendControlFrame(re, fr.Type, fr.LSN)
+			}
+		}
+		if !bytes.HasPrefix(data, re) {
+			t.Fatalf("stream %x re-encodes its accepted frames to %x", data, re)
+		}
+	})
 }

@@ -89,26 +89,23 @@ func TestMagicDifferentialRandom(t *testing.T) {
 				if err != nil {
 					t.Fatalf("prepare %q: %v", goal, err)
 				}
-				for _, workers := range []int{1, 4} {
-					opts := []Option{WithParallelism(workers)}
-					off, err := pq.Query(db, append(opts, WithMagic(false))...)
-					if err != nil {
-						t.Fatalf("goal %q magic-off: %v", goal, err)
-					}
-					on, err := pq.Query(db, opts...)
-					if err != nil {
-						t.Fatalf("goal %q magic-on: %v", goal, err)
-					}
-					if off.UsedMagic {
-						t.Fatalf("goal %q: WithMagic(false) run reports UsedMagic", goal)
-					}
-					if on.UsedMagic != pq.UsesMagic() {
-						t.Fatalf("goal %q: UsedMagic=%v but UsesMagic=%v", goal, on.UsedMagic, pq.UsesMagic())
-					}
-					if !reflect.DeepEqual(off.Vars, on.Vars) || !reflect.DeepEqual(off.Rows, on.Rows) {
-						t.Fatalf("goal %q (workers=%d): answers diverge\nmagic off: %v %v\nmagic on:  %v %v",
-							goal, workers, off.Vars, off.Rows, on.Vars, on.Rows)
-					}
+				off, err := pq.Query(db, WithMagic(false))
+				if err != nil {
+					t.Fatalf("goal %q magic-off: %v", goal, err)
+				}
+				on, err := pq.Query(db)
+				if err != nil {
+					t.Fatalf("goal %q magic-on: %v", goal, err)
+				}
+				if off.UsedMagic {
+					t.Fatalf("goal %q: WithMagic(false) run reports UsedMagic", goal)
+				}
+				if on.UsedMagic != pq.UsesMagic() {
+					t.Fatalf("goal %q: UsedMagic=%v but UsesMagic=%v", goal, on.UsedMagic, pq.UsesMagic())
+				}
+				if !reflect.DeepEqual(off.Vars, on.Vars) || !reflect.DeepEqual(off.Rows, on.Rows) {
+					t.Fatalf("goal %q: answers diverge\nmagic off: %v %v\nmagic on:  %v %v",
+						goal, off.Vars, off.Rows, on.Vars, on.Rows)
 				}
 			}
 		})

@@ -80,47 +80,18 @@ func WithMaxTuples(n int) Option {
 	return func(c *config) { c.limits.MaxTuples = n }
 }
 
-// WithParallelism sets the worker pool of each stratum's fixpoint
-// rounds. An explicit n > 1 is forced: every round fans out over n
-// workers. When unset (or 0) the engine runs every round inline on the
-// calling goroutine, as WithParallelism(1) does, unless WithPartitions
-// asks for a fan-out above 1: measured fan-out never beat inline
-// evaluation on the workloads it was calibrated on (see DESIGN.md),
-// so parallel evaluation is opt-in. Answers are byte-identical at
-// every setting: fanned-out workers only read round-start state and a
-// deterministic ordered merge performs every insertion, so tuple sets
-// and ID assignment do not depend on n. Budgets and cancellation are
-// honored as hard ceilings (sequential rounds additionally trip
-// budgets at the exact boundary). Tracing (WithTrace) forces
-// sequential evaluation.
-func WithParallelism(n int) Option {
-	return func(c *config) { c.eval.Parallelism = n }
-}
+// WithParallelism has no effect: every fixpoint round runs on the
+// calling goroutine.
+//
+// Deprecated: intra-query fan-out was removed; run queries concurrently
+// instead.
+func WithParallelism(int) Option { return func(*config) {} }
 
-// DefaultParallelism reports the worker count of fanned-out rounds
-// when WithPartitions(n > 1) is set and WithParallelism is not:
-// runtime.GOMAXPROCS(0) clamped to 8. Exposed so embedders (idlogd)
-// can resolve and clamp the effective value themselves.
-func DefaultParallelism() int { return core.DefaultParallelism() }
-
-// WithPartitions sets the hash-partition fan-out of partition-parallel
-// evaluation: recursive delta passes whose plan carries a partitionable
-// join key (see ExplainPlan's "partition:" lines) radix-partition the
-// delta and the probed relation on that key into n partitions, each
-// evaluated as an independent task against partition-local probe
-// indexes — no shared-index contention, and partitions no delta tuple
-// reaches never build an index at all. An explicit n > 1 forces every
-// round to fan out and partition. When unset (or 0) the fan-out follows
-// an explicit WithParallelism(n > 1), and the auto configuration, which
-// runs inline, does not partition. WithPartitions(1) disables
-// partitioning and is the differential twin. Answer sets, ID assignment, and
-// fingerprints are byte-identical at every setting (tuple insertion
-// order may differ between fan-outs). Clause bodies with ID-literals
-// or negation, and runs with the planner off, fall back to the
-// range-sharded parallel path.
-func WithPartitions(n int) Option {
-	return func(c *config) { c.eval.Partitions = n }
-}
+// WithPartitions has no effect: relations are no longer
+// hash-partitioned.
+//
+// Deprecated: intra-query fan-out was removed.
+func WithPartitions(int) Option { return func(*config) {} }
 
 // WithPlanner enables (the default) or disables the cost-based join
 // planner: with it on, clause bodies are reordered by estimated
@@ -161,11 +132,11 @@ func WithMaxRuns(n int) Option {
 
 // WithTrace records the first derivation of every tuple so that
 // Result.Explain can print derivation trees. Costs memory proportional
-// to the computed model. A traced run evaluates sequentially, in the
-// analysis body order (planner off), over the source rules (magic off)
-// and without the plan cache, so derivation trees do not depend on
-// worker scheduling, relation cardinalities or cached plans; the model
-// is the same as an untraced run's.
+// to the computed model. A traced run evaluates in the analysis body
+// order (planner off), over the source rules (magic off) and without
+// the plan cache, so derivation trees do not depend on relation
+// cardinalities or cached plans; the model is the same as an untraced
+// run's.
 func WithTrace() Option {
 	return func(c *config) { c.eval.Trace = true }
 }

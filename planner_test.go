@@ -63,18 +63,16 @@ func TestPlannerPreservesPaperExamples(t *testing.T) {
 	}
 
 	for _, w := range workloads {
-		want := modelOf(w) // planner on, sequential: the reference
+		want := modelOf(w) // planner on: the reference
 		variants := []struct {
 			name  string
 			extra []Option
 		}{
 			{"planner-off", []Option{WithPlanner(false)}},
-			{"planner-on-parallel", []Option{WithParallelism(4)}},
-			{"planner-off-parallel", []Option{WithPlanner(false), WithParallelism(4)}},
 		}
 		for _, v := range variants {
 			if got := modelOf(w, v.extra...); got != want {
-				t.Errorf("%s: %s model diverged from planner-on sequential\nwant:\n%s\ngot:\n%s",
+				t.Errorf("%s: %s model diverged from planner-on\nwant:\n%s\ngot:\n%s",
 					w.name, v.name, want, got)
 			}
 		}

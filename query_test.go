@@ -138,7 +138,7 @@ func TestSequentialBoundQueryAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	query := func() {
-		qr, err := pq.Query(db, WithParallelism(1))
+		qr, err := pq.Query(db)
 		if err != nil {
 			t.Fatal(err)
 		}

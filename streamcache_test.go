@@ -14,13 +14,13 @@ import (
 // paperGolden pins one paper-example workload to the behaviour recorded
 // when the join executor still had a recursive-walk twin: the output
 // relations' fingerprints (identical under every configuration), the
-// full Stats of a sequential run, a traced run, a 4-worker run and a
-// planner-off run, and a digest — tuple count, byte length and SHA-256
+// full Stats of a sequential run, a traced run and a planner-off run,
+// and a digest — tuple count, byte length and SHA-256
 // — of the Explain text of every output tuple under WithTrace.
 type paperGolden struct {
-	model                             string
-	seq, traced, parallel, plannerOff Stats
-	explain                           string
+	model                   string
+	seq, traced, plannerOff Stats
+	explain                 string
 }
 
 var paperGoldens = map[string]paperGolden{
@@ -28,7 +28,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "man=b517254aa1c226f3 sex_guess=91071e3bd729ae26",
 		seq:        Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
 		traced:     Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
-		parallel:   Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
 		plannerOff: Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
 		explain:    "18/1596/b6460e41627a12bcfb0879c98988416ec305205ad75d5b9ba46b5aaaff37b247",
 	},
@@ -36,7 +35,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "man=7d50f4bbbfbb19ac sex_guess=91071e3bd729ae26",
 		seq:        Stats{Derivations: 16, Inserted: 16, TuplesScanned: 16, Iterations: 2, IDRelations: 1},
 		traced:     Stats{Derivations: 16, Inserted: 16, TuplesScanned: 16, Iterations: 2, IDRelations: 1},
-		parallel:   Stats{Derivations: 16, Inserted: 16, TuplesScanned: 16, Iterations: 2, IDRelations: 1},
 		plannerOff: Stats{Derivations: 16, Inserted: 16, TuplesScanned: 16, Iterations: 2, IDRelations: 1},
 		explain:    "16/1400/80924064a2f3c591b536c955c7456fa23d3ebbeec6afdf14875235b8ef4cef3d",
 	},
@@ -44,7 +42,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "man=b517254aa1c226f3 sex_guess=91071e3bd729ae26 woman=da145b46a23951d0",
 		seq:        Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
 		traced:     Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
-		parallel:   Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
 		plannerOff: Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
 		explain:    "18/1596/b6460e41627a12bcfb0879c98988416ec305205ad75d5b9ba46b5aaaff37b247",
 	},
@@ -52,7 +49,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "man=7d50f4bbbfbb19ac sex_guess=91071e3bd729ae26 woman=a5f110078d847a76",
 		seq:        Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
 		traced:     Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
-		parallel:   Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
 		plannerOff: Stats{Derivations: 18, Inserted: 18, TuplesScanned: 18, Iterations: 2, IDRelations: 1},
 		explain:    "18/1612/0e872190991fd5153b1651d73b63cfcf1e1eba244f7cf97eeda9e2ee3ac109e1",
 	},
@@ -60,7 +56,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "chosen=da145b46a23951d0 guess=a65f81a9135b4622",
 		seq:        Stats{Derivations: 12, Inserted: 12, TuplesScanned: 12, Iterations: 2, IDRelations: 1},
 		traced:     Stats{Derivations: 12, Inserted: 12, TuplesScanned: 12, Iterations: 2, IDRelations: 1},
-		parallel:   Stats{Derivations: 12, Inserted: 12, TuplesScanned: 12, Iterations: 2, IDRelations: 1},
 		plannerOff: Stats{Derivations: 12, Inserted: 12, TuplesScanned: 12, Iterations: 2, IDRelations: 1},
 		explain:    "12/852/230f64121c6898091ea7480783207f7e6987ecd684589aa4702eb23a1c1c7c53",
 	},
@@ -68,7 +63,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "chosen=2df40f567e723a37 guess=a65f81a9135b4622",
 		seq:        Stats{Derivations: 15, Inserted: 15, TuplesScanned: 15, Iterations: 2, IDRelations: 1},
 		traced:     Stats{Derivations: 15, Inserted: 15, TuplesScanned: 15, Iterations: 2, IDRelations: 1},
-		parallel:   Stats{Derivations: 15, Inserted: 15, TuplesScanned: 15, Iterations: 2, IDRelations: 1},
 		plannerOff: Stats{Derivations: 15, Inserted: 15, TuplesScanned: 15, Iterations: 2, IDRelations: 1},
 		explain:    "15/1128/b8d3b3f868fbeefe7131a4d7628c235f2d8468bc9c9f6f536aa728579560b761",
 	},
@@ -76,7 +70,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "ext_choice_0=15296b9c12b2ebeb ext_choice_0_sel=1d1a8d7edc45db66 pick=d1400585b5a2adef",
 		seq:        Stats{Derivations: 28, Inserted: 28, TuplesScanned: 52, Iterations: 4, IDRelations: 1},
 		traced:     Stats{Derivations: 28, Inserted: 28, TuplesScanned: 68, Iterations: 4, IDRelations: 1},
-		parallel:   Stats{Derivations: 28, Inserted: 28, TuplesScanned: 52, Iterations: 4, IDRelations: 1, Partitions: 4, PartitionedRounds: 1, PartitionSkew: 2},
 		plannerOff: Stats{Derivations: 28, Inserted: 28, TuplesScanned: 68, Iterations: 4, IDRelations: 1},
 		explain:    "28/3376/58d1ba7edc76bc8b189970e91d9c0425042b1e6f8a769eb2375b214e8fe27699",
 	},
@@ -84,7 +77,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "ext_choice_0=15296b9c12b2ebeb ext_choice_0_sel=fce6ad4c512612d0 pick=bb88ba97f3534c3a",
 		seq:        Stats{Derivations: 28, Inserted: 28, TuplesScanned: 52, Iterations: 4, IDRelations: 1},
 		traced:     Stats{Derivations: 28, Inserted: 28, TuplesScanned: 68, Iterations: 4, IDRelations: 1},
-		parallel:   Stats{Derivations: 28, Inserted: 28, TuplesScanned: 52, Iterations: 4, IDRelations: 1, Partitions: 4, PartitionedRounds: 1, PartitionSkew: 2},
 		plannerOff: Stats{Derivations: 28, Inserted: 28, TuplesScanned: 68, Iterations: 4, IDRelations: 1},
 		explain:    "28/3376/23908edfdf42c5e986950a07d5fc9e38b4a6d4217ca06bd839d1819f8f80cb3b",
 	},
@@ -92,7 +84,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "select_two_emp=d2c4dcc4a150c4cd",
 		seq:        Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
 		traced:     Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
-		parallel:   Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
 		plannerOff: Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
 		explain:    "8/1192/9b4317158c8a14fd288d84c0781ecd1240307066a4d04b9fdbbf0378a1bb4527",
 	},
@@ -100,7 +91,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "select_two_emp=edbc4134b755a073",
 		seq:        Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
 		traced:     Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
-		parallel:   Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
 		plannerOff: Stats{Derivations: 8, Inserted: 8, TuplesScanned: 8, Iterations: 1, IDRelations: 1},
 		explain:    "8/1192/b5ba0114adcf3b0fc85c23deab77a6196822782c59a1261b6e1dfebb39888970",
 	},
@@ -108,7 +98,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "a=ee440d816122f8e8 q=89bc74f0f176a6da",
 		seq:        Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 1674, Iterations: 31},
 		traced:     Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 2208, Iterations: 31},
-		parallel:   Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 1674, Iterations: 31, Partitions: 4, PartitionedRounds: 30, PartitionSkew: 4},
 		plannerOff: Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 2208, Iterations: 31},
 		explain:    "576/490444/e39eaad65dbde99e4526fed781d2d52b2c9468d8cbaa6a2199fcd8c3c6d8e3b6",
 	},
@@ -116,7 +105,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "a=ee440d816122f8e8 q=89bc74f0f176a6da",
 		seq:        Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 1674, Iterations: 31},
 		traced:     Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 2208, Iterations: 31},
-		parallel:   Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 1674, Iterations: 31, Partitions: 4, PartitionedRounds: 30, PartitionSkew: 4},
 		plannerOff: Stats{Derivations: 1092, Inserted: 576, TuplesScanned: 2208, Iterations: 31},
 		explain:    "576/490444/e39eaad65dbde99e4526fed781d2d52b2c9468d8cbaa6a2199fcd8c3c6d8e3b6",
 	},
@@ -124,7 +112,6 @@ var paperGoldens = map[string]paperGolden{
 		model:      "a=89bc74f0f176a6da q=89bc74f0f176a6da",
 		seq:        Stats{Derivations: 89, Inserted: 60, TuplesScanned: 155, Iterations: 3, IDRelations: 1},
 		traced:     Stats{Derivations: 89, Inserted: 60, TuplesScanned: 161, Iterations: 3, IDRelations: 1},
-		parallel:   Stats{Derivations: 89, Inserted: 60, TuplesScanned: 155, Iterations: 3, IDRelations: 1, Partitions: 4, PartitionedRounds: 1, PartitionSkew: 1.2},
 		plannerOff: Stats{Derivations: 89, Inserted: 60, TuplesScanned: 161, Iterations: 3, IDRelations: 1},
 		explain:    "60/5550/4ecf786f96a64c331b5d9c028059355c419f6a458d9e01902cc2033a2108315c",
 	},
@@ -137,8 +124,8 @@ const goldenChildEnv = "IDLOG_PAPER_GOLDEN_CHILD"
 // TestStreamingPreservesPaperExamples is the join executor's end-to-end
 // acceptance check: the paper's Examples 1–8, seeded and unseeded, must
 // reproduce the golden fingerprints, statistics (down to
-// TuplesScanned) and derivation trees exactly — sequentially, traced,
-// with 4 workers and with the planner off.
+// TuplesScanned) and derivation trees exactly — sequentially, traced
+// and with the planner off.
 //
 // Symbol IDs are process-global and issued in interning order;
 // fingerprints hash them and the seeded oracle keys its permutations on
@@ -186,10 +173,9 @@ func TestStreamingPreservesPaperExamples(t *testing.T) {
 			stats Stats
 			extra []Option
 		}{
-			{"sequential", want.seq, []Option{WithParallelism(1)}},
-			{"traced", want.traced, []Option{WithParallelism(1), WithTrace()}},
-			{"parallel", want.parallel, []Option{WithParallelism(4)}},
-			{"planner-off", want.plannerOff, []Option{WithParallelism(1), WithPlanner(false)}},
+			{"sequential", want.seq, nil},
+			{"traced", want.traced, []Option{WithTrace()}},
+			{"planner-off", want.plannerOff, []Option{WithPlanner(false)}},
 		}
 		for _, v := range variants {
 			res, err := w.prog.Eval(db, append(append([]Option{}, w.opts...), v.extra...)...)
@@ -316,8 +302,6 @@ func TestPlanCacheInvalidation(t *testing.T) {
 		a, b := rng.Intn(nodes), rng.Intn(nodes)
 		return Fact{Pred: "edge", Tuple: Strs(fmt.Sprintf("n%d", a), fmt.Sprintf("n%d", b))}
 	}
-	optionSets := [][]Option{nil, {WithParallelism(4)}}
-
 	for round := 0; round < 40; round++ {
 		// Mutate roughly every other round so cached plans both hit
 		// (same version) and invalidate (new version).
@@ -336,18 +320,18 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			db = next
 		}
 		gi := rng.Intn(len(goals))
-		for oi, opts := range optionSets {
-			cached, err := prepared[gi].Query(db, opts...)
+		for pass := 0; pass < 2; pass++ {
+			cached, err := prepared[gi].Query(db)
 			if err != nil {
 				t.Fatalf("round %d: prepared: %v", round, err)
 			}
-			fresh, err := prog.Query(db, goals[gi], opts...)
+			fresh, err := prog.Query(db, goals[gi])
 			if err != nil {
 				t.Fatalf("round %d: fresh: %v", round, err)
 			}
 			if fmt.Sprint(cached.Rows) != fmt.Sprint(fresh.Rows) {
-				t.Fatalf("round %d goal %q opts %d: cached %v != fresh %v",
-					round, goals[gi], oi, cached.Rows, fresh.Rows)
+				t.Fatalf("round %d goal %q pass %d: cached %v != fresh %v",
+					round, goals[gi], pass, cached.Rows, fresh.Rows)
 			}
 		}
 	}
@@ -360,8 +344,8 @@ func TestPlanCacheInvalidation(t *testing.T) {
 			}
 			hits += h
 		}
-		// Each round runs the same goal seq then parallel against one
-		// database version, so hits are guaranteed in-memory.
+		// Each round runs the same goal twice against one database
+		// version, so hits are guaranteed in-memory.
 		if hits == 0 {
 			t.Fatal("plan cache never hit across 40 rounds")
 		}
